@@ -1,9 +1,10 @@
 #include "analysis/findings.h"
 
 #include <algorithm>
-#include <cstdio>
 #include <sstream>
 #include <tuple>
+
+#include "obs/json.h"
 
 namespace wym::analysis {
 
@@ -56,45 +57,11 @@ std::string RenderText(const Report& report) {
   return os.str();
 }
 
-std::string EscapeJson(const std::string& text) {
-  std::string out;
-  out.reserve(text.size() + 8);
-  for (const char c : text) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buffer[8];
-          std::snprintf(buffer, sizeof(buffer), "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out += buffer;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
 std::string RenderJson(const Report& report) {
   std::ostringstream os;
   os << "{\n";
   os << "  \"schema\": \"wym-analysis-report/v1\",\n";
-  os << "  \"pass\": \"" << EscapeJson(report.pass) << "\",\n";
+  os << "  \"pass\": \"" << obs::JsonEscape(report.pass) << "\",\n";
   os << "  \"files_scanned\": " << report.files_scanned << ",\n";
   os << "  \"suppressions_honored\": " << report.suppressions_honored
      << ",\n";
@@ -104,11 +71,11 @@ std::string RenderJson(const Report& report) {
   for (size_t i = 0; i < report.findings.size(); ++i) {
     const lint::Finding& f = report.findings[i];
     os << (i == 0 ? "\n" : ",\n");
-    os << "    {\"path\": \"" << EscapeJson(f.path) << "\", "
+    os << "    {\"path\": \"" << obs::JsonEscape(f.path) << "\", "
        << "\"line\": " << f.line << ", "
-       << "\"check\": \"" << EscapeJson(f.check) << "\", "
+       << "\"check\": \"" << obs::JsonEscape(f.check) << "\", "
        << "\"severity\": \"" << SeverityName(SeverityOf(f.check)) << "\", "
-       << "\"message\": \"" << EscapeJson(f.message) << "\"}";
+       << "\"message\": \"" << obs::JsonEscape(f.message) << "\"}";
   }
   os << (report.findings.empty() ? "]\n" : "\n  ]\n");
   os << "}\n";

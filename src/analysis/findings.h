@@ -63,10 +63,6 @@ std::string RenderText(const Report& report);
 /// produce byte-identical bytes at any WYM_THREADS / WYM_SIMD setting.
 std::string RenderJson(const Report& report);
 
-/// JSON string escaping used by RenderJson; exported for the report
-/// tests.
-std::string EscapeJson(const std::string& text);
-
 }  // namespace wym::analysis
 
 #endif  // WYM_ANALYSIS_FINDINGS_H_

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <iostream>
 #include <sstream>
 
 #include "obs/metrics.h"
@@ -26,8 +25,18 @@ constexpr char kSectionScorer[] = "scorer";
 constexpr char kSectionMatcher[] = "matcher";
 
 /// Serialized prefix of a legacy (format v1) model stream: the
-/// length-prefixed "wym-model/v1" tag the old SaveToFile wrote first.
+/// length-prefixed "wym-model/v1" tag the v1 writer put first.
 constexpr char kLegacyPrefix[] = "12 wym-model/v1";
+
+/// Rejects anything that is not a framed v2 model file, naming legacy
+/// v1 files (unframed, unchecksummed, no longer supported) explicitly.
+Status CheckModelHeader(const std::string& bytes, const std::string& path) {
+  if (io::LooksFramed(bytes, kModelMagic)) return Status::Ok();
+  if (bytes.compare(0, sizeof(kLegacyPrefix) - 1, kLegacyPrefix) == 0) {
+    return Status::Corruption("unsupported legacy v1 model file: " + path);
+  }
+  return Status::Corruption("not a WYM model file: " + path);
+}
 
 const std::string* FindFrame(const std::vector<io::FileFrame>& frames,
                              const char* name) {
@@ -222,21 +231,6 @@ std::vector<double> WymModel::ScoreUnits(
   return scorer_.Score(record, units);
 }
 
-ScoredUnitSet WymModel::BuildScoredUnits(const TokenizedRecord& record) const {
-  ScoredUnitSet set;
-  set.units = GenerateUnits(record);
-  set.scores = ScoreUnits(record, set.units);
-  // Scorer stage boundary: relevance scores feed both the matcher and
-  // the ranked explanation, so a NaN here corrupts both.
-  WYM_DCHECK_FINITE(set.scores.data(), set.scores.size())
-      << "non-finite unit relevance score";
-  return set;
-}
-
-double WymModel::PredictProba(const data::EmRecord& record) const {
-  return PredictProbaFromUnits(BuildScoredUnits(Prepare(record)));
-}
-
 double WymModel::PredictProbaFromUnits(const ScoredUnitSet& set) const {
   const double proba = matcher_.PredictProba(set);
   // Matcher stage boundary: probabilities must be finite (the classifier
@@ -245,13 +239,34 @@ double WymModel::PredictProbaFromUnits(const ScoredUnitSet& set) const {
   return proba;
 }
 
-Explanation WymModel::Explain(const data::EmRecord& record) const {
+Explanation WymModel::ExplainRecord(const data::EmRecord& record,
+                                    bool with_units,
+                                    std::string* reason) const {
   const TokenizedRecord tokenized = Prepare(record);
-  const ScoredUnitSet set = BuildScoredUnits(tokenized);
+  // Zero tokens on both sides means zero decision units: nothing to
+  // decide on, so the record gets the non-match fallback.
+  if (tokenized.left.tokens.empty() && tokenized.right.tokens.empty()) {
+    if (reason != nullptr) {
+      *reason = "zero tokens on both sides after tokenization";
+    }
+    return {};
+  }
+  ScoredUnitSet set;
+  set.units = GenerateUnits(tokenized);
+  set.scores = ScoreUnits(tokenized, set.units);
+  // Scorer stage boundary: relevance scores feed both the matcher and
+  // the ranked explanation, so a NaN here corrupts both.
+  WYM_DCHECK_FINITE(set.scores.data(), set.scores.size())
+      << "non-finite unit relevance score";
 
   Explanation out;
-  out.probability = matcher_.PredictProba(set);
+  out.probability = PredictProbaFromUnits(set);
+  if (!std::isfinite(out.probability)) {
+    if (reason != nullptr) *reason = "non-finite match probability";
+    return {};  // Non-match fallback; reported, never NaN.
+  }
   out.prediction = out.probability >= 0.5 ? 1 : 0;
+  if (!with_units) return out;
   const std::vector<double> impacts = matcher_.UnitImpacts(set);
   out.units.reserve(set.size());
   for (size_t u = 0; u < set.size(); ++u) {
@@ -260,16 +275,42 @@ Explanation WymModel::Explain(const data::EmRecord& record) const {
   return out;
 }
 
+double WymModel::PredictProba(const data::EmRecord& record) const {
+  return ExplainRecord(record, /*with_units=*/false, nullptr).probability;
+}
+
+Explanation WymModel::Explain(const data::EmRecord& record) const {
+  return ExplainRecord(record, /*with_units=*/true, nullptr);
+}
+
 namespace {
 
-/// Reason a record cannot be predicted, or empty. Zero tokens on both
-/// sides would trip the relevance scorer's at-least-one-entity contract
-/// (an abort) — the batch paths quarantine such records instead.
-std::string DegenerateReason(const TokenizedRecord& tokenized) {
-  if (tokenized.left.tokens.empty() && tokenized.right.tokens.empty()) {
-    return "zero tokens on both sides after tokenization";
+/// Span and metric names of one batch API.
+struct BatchMetrics {
+  const char* batch_span;
+  const char* record_span;
+  obs::Histogram& record_ns;
+  obs::Counter& records;
+  obs::Counter& quarantined;
+};
+
+/// `explain.*` or `predict.*`, registered on first use.
+const BatchMetrics& BatchMetricsFor(bool explain) {
+  obs::Registry& registry = obs::Registry::Global();
+  if (explain) {
+    static const BatchMetrics metrics{
+        "explain.batch", "explain.record",
+        registry.GetHistogram("explain.record_ns"),
+        registry.GetCounter("explain.records"),
+        registry.GetCounter("explain.records_quarantined")};
+    return metrics;
   }
-  return "";
+  static const BatchMetrics metrics{
+      "predict.batch", "predict.record",
+      registry.GetHistogram("predict.record_ns"),
+      registry.GetCounter("predict.records"),
+      registry.GetCounter("predict.records_quarantined")};
+  return metrics;
 }
 
 /// Compacts per-index quarantine reasons (collected in parallel, by
@@ -287,120 +328,60 @@ void FillReport(const std::vector<std::string>& reasons,
   }
 }
 
-/// Bumps the batch-level counters (`<prefix>.records`,
-/// `<prefix>.records_quarantined`) from the per-index reason vector —
+/// Bumps the batch-level counters from the per-index reason vector —
 /// after the parallel loop, so counting never touches the hot path.
 void CountBatch(const std::vector<std::string>& reasons,
-                obs::Counter& records, obs::Counter& quarantined) {
+                const BatchMetrics& metrics) {
   if (!obs::MetricsEnabled()) return;
-  records.Add(reasons.size());
+  metrics.records.Add(reasons.size());
   size_t bad = 0;
   for (const std::string& reason : reasons) {
     if (!reason.empty()) ++bad;
   }
-  if (bad > 0) quarantined.Add(bad);
+  if (bad > 0) metrics.quarantined.Add(bad);
 }
 
 }  // namespace
 
-std::vector<double> WymModel::PredictProbaBatch(const data::Dataset& dataset,
-                                                util::ThreadPool* pool) const {
-  return PredictProbaBatch(dataset, nullptr, pool);
-}
-
-std::vector<double> WymModel::PredictProbaBatch(const data::Dataset& dataset,
-                                                PredictionReport* report,
-                                                util::ThreadPool* pool) const {
-  return PredictProbaRange(dataset.records.data(), dataset.records.size(),
-                           report, pool);
+std::vector<Explanation> WymModel::ExplainRecords(
+    std::span<const data::EmRecord> records, bool with_units,
+    PredictionReport* report, util::ThreadPool* pool) const {
+  WYM_CHECK(fitted_) << "WymModel used before Fit";
+  const BatchMetrics& metrics = BatchMetricsFor(with_units);
+  obs::SpanScope batch_span(metrics.batch_span);
+  const bool timed = obs::MetricsEnabled();
+  std::vector<Explanation> out(records.size());
+  std::vector<std::string> reasons(records.size());
+  util::ParallelFor(
+      records.size(), /*grain=*/1,
+      [&](size_t begin, size_t end, size_t) {
+        for (size_t i = begin; i < end; ++i) {
+          obs::SpanScope span(metrics.record_span);
+          const std::uint64_t t0 = timed ? obs::NowNanos() : 0;
+          out[i] = ExplainRecord(records[i], with_units, &reasons[i]);
+          if (timed) metrics.record_ns.Record(obs::NowNanos() - t0);
+        }
+      },
+      pool);
+  FillReport(reasons, report);
+  CountBatch(reasons, metrics);
+  return out;
 }
 
 std::vector<double> WymModel::PredictProbaBatch(
-    const std::vector<data::EmRecord>& records, PredictionReport* report,
+    std::span<const data::EmRecord> records, PredictionReport* report,
     util::ThreadPool* pool) const {
-  return PredictProbaRange(records.data(), records.size(), report, pool);
-}
-
-std::vector<double> WymModel::PredictProbaRange(const data::EmRecord* batch,
-                                                size_t n,
-                                                PredictionReport* report,
-                                                util::ThreadPool* pool) const {
-  WYM_CHECK(fitted_) << "WymModel used before Fit";
-  obs::SpanScope batch_span("predict.batch");
-  const bool metrics = obs::MetricsEnabled();
-  static obs::Histogram& record_ns =
-      obs::Registry::Global().GetHistogram("predict.record_ns");
-  std::vector<double> out(n);
-  std::vector<std::string> reasons(n);
-  util::ParallelFor(
-      n, /*grain=*/1,
-      [&](size_t begin, size_t end, size_t) {
-        for (size_t i = begin; i < end; ++i) {
-          obs::SpanScope span("predict.record");
-          const std::uint64_t t0 = metrics ? obs::NowNanos() : 0;
-          const TokenizedRecord tokenized = Prepare(batch[i]);
-          reasons[i] = DegenerateReason(tokenized);
-          if (!reasons[i].empty()) {
-            out[i] = 0.0;  // Non-match fallback; reported, never NaN.
-            continue;
-          }
-          out[i] = PredictProbaFromUnits(BuildScoredUnits(tokenized));
-          if (!std::isfinite(out[i])) {
-            reasons[i] = "non-finite match probability";
-            out[i] = 0.0;
-          }
-          if (metrics) record_ns.Record(obs::NowNanos() - t0);
-        }
-      },
-      pool);
-  FillReport(reasons, report);
-  static obs::Counter& records =
-      obs::Registry::Global().GetCounter("predict.records");
-  static obs::Counter& quarantined =
-      obs::Registry::Global().GetCounter("predict.records_quarantined");
-  CountBatch(reasons, records, quarantined);
+  const std::vector<Explanation> explained =
+      ExplainRecords(records, /*with_units=*/false, report, pool);
+  std::vector<double> out(explained.size());
+  for (size_t i = 0; i < out.size(); ++i) out[i] = explained[i].probability;
   return out;
 }
 
-std::vector<Explanation> WymModel::ExplainBatch(const data::Dataset& dataset,
-                                                util::ThreadPool* pool) const {
-  return ExplainBatch(dataset, nullptr, pool);
-}
-
-std::vector<Explanation> WymModel::ExplainBatch(const data::Dataset& dataset,
-                                                PredictionReport* report,
-                                                util::ThreadPool* pool) const {
-  WYM_CHECK(fitted_) << "WymModel used before Fit";
-  obs::SpanScope batch_span("explain.batch");
-  const bool metrics = obs::MetricsEnabled();
-  static obs::Histogram& record_ns =
-      obs::Registry::Global().GetHistogram("explain.record_ns");
-  std::vector<Explanation> out(dataset.size());
-  std::vector<std::string> reasons(dataset.size());
-  util::ParallelFor(
-      dataset.size(), /*grain=*/1,
-      [&](size_t begin, size_t end, size_t) {
-        for (size_t i = begin; i < end; ++i) {
-          obs::SpanScope span("explain.record");
-          const std::uint64_t t0 = metrics ? obs::NowNanos() : 0;
-          const TokenizedRecord tokenized = Prepare(dataset.records[i]);
-          reasons[i] = DegenerateReason(tokenized);
-          if (!reasons[i].empty()) {
-            out[i] = Explanation{};  // Empty: prediction 0, no units.
-            continue;
-          }
-          out[i] = Explain(dataset.records[i]);
-          if (metrics) record_ns.Record(obs::NowNanos() - t0);
-        }
-      },
-      pool);
-  FillReport(reasons, report);
-  static obs::Counter& records =
-      obs::Registry::Global().GetCounter("explain.records");
-  static obs::Counter& quarantined =
-      obs::Registry::Global().GetCounter("explain.records_quarantined");
-  CountBatch(reasons, records, quarantined);
-  return out;
+std::vector<Explanation> WymModel::ExplainBatch(
+    std::span<const data::EmRecord> records, PredictionReport* report,
+    util::ThreadPool* pool) const {
+  return ExplainRecords(records, /*with_units=*/true, report, pool);
 }
 
 std::vector<int> WymModel::PredictDataset(const data::Dataset& dataset) const {
@@ -408,13 +389,13 @@ std::vector<int> WymModel::PredictDataset(const data::Dataset& dataset) const {
   // by the chunk, not the dataset — the same discipline the streaming
   // candidate tier applies on the blocking side.
   constexpr size_t kChunkRecords = 8192;
-  std::vector<int> out(dataset.size());
-  for (size_t begin = 0; begin < dataset.size(); begin += kChunkRecords) {
-    const size_t n = std::min(kChunkRecords, dataset.size() - begin);
+  const std::span<const data::EmRecord> records(dataset.records);
+  std::vector<int> out(records.size());
+  for (size_t begin = 0; begin < records.size(); begin += kChunkRecords) {
+    const size_t n = std::min(kChunkRecords, records.size() - begin);
     const std::vector<double> probabilities =
-        PredictProbaRange(dataset.records.data() + begin, n,
-                          /*report=*/nullptr, /*pool=*/nullptr);
-    for (size_t i = 0; i < n; ++i) {
+        PredictProbaBatch(records.subspan(begin, n));
+    for (size_t i = 0; i < probabilities.size(); ++i) {
       out[begin + i] = probabilities[i] >= 0.5 ? 1 : 0;
     }
   }
@@ -424,7 +405,7 @@ std::vector<int> WymModel::PredictDataset(const data::Dataset& dataset) const {
 namespace {
 
 /// Serializes the config scalars needed to rebuild the stateless
-/// components (shared by the v1 stream and the v2 "config" section).
+/// components (the "config" section).
 void WriteConfigFields(serde::Serializer* s, const WymConfig& config,
                        size_t num_attributes) {
   s->Bool(config.tokenizer.lowercase);
@@ -498,65 +479,16 @@ Status WymModel::SaveToFile(const std::string& path) const {
       .Annotate("saving model to " + path);
 }
 
-Status WymModel::SaveToFileV1(const std::string& path) const {
-  if (!fitted_) {
-    return Status::FailedPrecondition("cannot save an unfitted WymModel");
-  }
-  std::ostringstream out;
-  serde::Serializer s(&out);
-  s.Tag("wym-model/v1");
-  WriteConfigFields(&s, config_, num_attributes_);
-  encoder_.Save(&s);
-  scorer_.Save(&s);
-  matcher_.Save(&s);
-  return io::WriteFileAtomic(path, out.str())
-      .Annotate("saving legacy v1 model to " + path);
-}
-
 Result<WymModel> WymModel::LoadFromFile(const std::string& path,
                                         std::vector<PairingRule> rules) {
   std::string bytes;
   const Status read = io::ReadFileToString(path, &bytes);
   if (!read.ok()) return read.Annotate("loading model");
 
-  if (!io::LooksFramed(bytes, kModelMagic)) {
-    // Legacy format v1: a bare serde stream opening with the v1 tag.
-    if (bytes.compare(0, sizeof(kLegacyPrefix) - 1, kLegacyPrefix) != 0) {
-      return Status::Corruption("not a WYM model file: " + path);
-    }
-    std::cerr << "wym: note: " << path
-              << " is a legacy v1 model file (no integrity checksums); "
-                 "re-save with SaveToFile to upgrade to format v2\n";
-    std::istringstream in(bytes);
-    serde::Deserializer d(&in);
-    if (!d.Tag("wym-model/v1")) {
-      return Status::Corruption("not a WYM model file: " + path);
-    }
-    WymConfig config;
-    uint64_t rule_count = 0;
-    uint64_t num_attributes = 0;
-    ReadConfigFields(&d, &config, &rule_count, &num_attributes);
-    if (!d.ok()) return Status::Corruption("truncated model header: " + path);
-    WYM_RETURN_IF_ERROR(CheckRuleCount(rule_count, rules));
-    config.generator.rules = std::move(rules);
-    WymModel model(config);
-    model.num_attributes_ = num_attributes;
-    if (!model.encoder_.Load(&d)) {
-      return Status::Corruption("bad encoder state: " + path);
-    }
-    if (!model.scorer_.Load(&d)) {
-      return Status::Corruption("bad scorer state: " + path);
-    }
-    if (!model.matcher_.Load(&d)) {
-      return Status::Corruption("bad matcher state: " + path);
-    }
-    if (!d.ok()) return Status::Corruption("truncated model file: " + path);
-    model.fitted_ = true;
-    return model;
-  }
+  WYM_RETURN_IF_ERROR(CheckModelHeader(bytes, path));
 
-  // Format v2: verify the container — structure, per-section CRCs,
-  // whole-file trailer — before deserializing anything.
+  // Verify the container — structure, per-section CRCs, whole-file
+  // trailer — before deserializing anything.
   std::vector<io::FileFrame> frames;
   const Status decoded = io::DecodeFramedFile(
       bytes, kModelMagic, kModelFormatVersion, nullptr, &frames);
@@ -625,17 +557,7 @@ Status WymModel::VerifyFile(const std::string& path, std::string* summary) {
   std::string bytes;
   WYM_RETURN_IF_ERROR(
       io::ReadFileToString(path, &bytes).Annotate("verifying " + path));
-  if (!io::LooksFramed(bytes, kModelMagic)) {
-    if (bytes.compare(0, sizeof(kLegacyPrefix) - 1, kLegacyPrefix) == 0) {
-      if (summary != nullptr) {
-        *summary = "legacy v1 model file (" + std::to_string(bytes.size()) +
-                   " bytes): no integrity frames to verify; re-save to "
-                   "upgrade to format v2\n";
-      }
-      return Status::Ok();
-    }
-    return Status::Corruption("not a WYM model file: " + path);
-  }
+  WYM_RETURN_IF_ERROR(CheckModelHeader(bytes, path));
   return io::VerifyFramedFile(bytes, kModelMagic, summary).Annotate(path);
 }
 

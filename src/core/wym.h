@@ -2,6 +2,7 @@
 #define WYM_CORE_WYM_H_
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -22,6 +23,12 @@
 /// tokenize -> encode -> discover decision units (Algorithm 1) -> score
 /// their relevance -> engineer features -> classify -> attribute impact
 /// scores. This is the library's primary public API.
+///
+/// Every entry point — PredictProba, Explain, the batch APIs,
+/// PredictDataset, and through them MatchTables and wym_serve — pushes
+/// each record through one staged per-record function (EX(r), paper
+/// §3.1), so a served decision, its explanation and the offline batch
+/// answer for the same record are the same bits.
 ///
 /// Typical use:
 /// \code
@@ -75,11 +82,12 @@ struct ExplainedUnit {
   double impact = 0.0;
 };
 
-/// Per-run quarantine report of the batch prediction APIs. Degenerate
-/// records — zero tokens on both sides after tokenization, or a
-/// non-finite probability — are not predictable; instead of aborting or
-/// propagating NaNs, the batch paths give them the non-match fallback
-/// (probability 0.0, prediction 0) and list them here.
+/// Per-run quarantine report of the batch APIs. Degenerate records —
+/// zero tokens on both sides after tokenization, or a non-finite
+/// probability — are not predictable; instead of aborting or
+/// propagating NaNs, every entry point gives them the non-match fallback
+/// (probability 0.0, prediction 0, no units), and the batch APIs list
+/// them here.
 struct PredictionReport {
   struct Quarantined {
     size_t index = 0;     ///< Record index within the dataset.
@@ -115,48 +123,51 @@ class WymModel : public Matcher {
   void Fit(const data::Dataset& train,
            const data::Dataset& validation) override;
 
-  /// Matching probability for a record.
+  /// Matching probability for a record (0.0 for a degenerate record,
+  /// see PredictionReport).
   double PredictProba(const data::EmRecord& record) const override;
 
-  /// Prediction + decision units with relevance and impact scores.
+  /// Prediction + decision units with relevance and impact scores (an
+  /// empty non-match explanation for a degenerate record).
   Explanation Explain(const data::EmRecord& record) const;
 
   /// --- batch APIs (deterministic parallel runtime) ---
   ///
-  /// Each record's tokenize -> encode -> units -> score -> classify
-  /// chain is independent, so the batch APIs fan records across `pool`
-  /// (the global WYM_THREADS pool when nullptr) and write results by
-  /// record index. Output is bit-identical to the sequential per-record
-  /// calls at every thread count — see DESIGN.md "Threading model".
+  /// Each batch API is one ParallelFor over the per-record pipeline
+  /// behind PredictProba/Explain: records fan across `pool` (the global
+  /// WYM_THREADS pool when nullptr) and results are written by record
+  /// index, so output is bit-identical to the single-record calls at
+  /// every thread count — see DESIGN.md "Threading model". Degenerate
+  /// records are listed in `report` (when non-null); they never abort
+  /// the batch and never yield NaN.
 
-  /// Matching probabilities for every record of `dataset`, in order.
-  /// Degenerate records are quarantined into `report` (when non-null)
-  /// with the non-match fallback probability 0.0 — the batch paths never
-  /// abort on bad records and never emit NaN.
-  std::vector<double> PredictProbaBatch(const data::Dataset& dataset,
-                                        util::ThreadPool* pool = nullptr) const;
-  std::vector<double> PredictProbaBatch(const data::Dataset& dataset,
-                                        PredictionReport* report,
-                                        util::ThreadPool* pool = nullptr) const;
-
-  /// Matching probabilities for a plain record list — the entry point
-  /// the streaming candidate tier (blocking::MatchTables) feeds in
-  /// bounded-memory chunks. Same quarantine and determinism contract as
-  /// the dataset overloads.
+  /// Matching probabilities for `records`, in order. The streaming
+  /// candidate tier (blocking::MatchTables) feeds this in bounded-memory
+  /// chunks.
   std::vector<double> PredictProbaBatch(
-      const std::vector<data::EmRecord>& records,
+      std::span<const data::EmRecord> records,
       PredictionReport* report = nullptr,
       util::ThreadPool* pool = nullptr) const;
+  /// Same, over `dataset.records`.
+  std::vector<double> PredictProbaBatch(
+      const data::Dataset& dataset, PredictionReport* report = nullptr,
+      util::ThreadPool* pool = nullptr) const {
+    return PredictProbaBatch(std::span(dataset.records), report, pool);
+  }
 
-  /// Explanations for every record of `dataset`, in order. Quarantined
-  /// records yield an empty explanation (no units, probability 0.0).
-  std::vector<Explanation> ExplainBatch(const data::Dataset& dataset,
-                                        util::ThreadPool* pool = nullptr) const;
-  std::vector<Explanation> ExplainBatch(const data::Dataset& dataset,
-                                        PredictionReport* report,
-                                        util::ThreadPool* pool = nullptr) const;
+  /// Explanations for `records`, in order.
+  std::vector<Explanation> ExplainBatch(
+      std::span<const data::EmRecord> records,
+      PredictionReport* report = nullptr,
+      util::ThreadPool* pool = nullptr) const;
+  /// Same, over `dataset.records`.
+  std::vector<Explanation> ExplainBatch(
+      const data::Dataset& dataset, PredictionReport* report = nullptr,
+      util::ThreadPool* pool = nullptr) const {
+    return ExplainBatch(std::span(dataset.records), report, pool);
+  }
 
-  /// Hard predictions through the parallel batch path.
+  /// Hard predictions, chunked through PredictProbaBatch.
   std::vector<int> PredictDataset(const data::Dataset& dataset) const override;
 
   /// --- lower-level hooks used by the evaluation harnesses ---
@@ -188,23 +199,19 @@ class WymModel : public Matcher {
   /// LoadFromFile's config parameter.
   [[nodiscard]] Status SaveToFile(const std::string& path) const;
 
-  /// Legacy format v1 writer (unframed serde stream, no checksums).
-  /// Kept only so the v1 -> v2 migration path stays testable; new code
-  /// must use SaveToFile.
-  [[nodiscard]] Status SaveToFileV1(const std::string& path) const;
-
   /// Restores a SaveToFile()d model. Format v2 files are verified frame
   /// by frame before any state is deserialized; damage yields
   /// `Status::Corruption` naming the broken section. Legacy v1 files
-  /// still load (with a deprecation note on stderr). `rules` re-attaches
-  /// the pairing rules that were active at training time (empty = none).
+  /// (unframed, unchecksummed) are rejected with `Status::Corruption`.
+  /// `rules` re-attaches the pairing rules that were active at training
+  /// time (empty = none).
   static Result<WymModel> LoadFromFile(
       const std::string& path, std::vector<PairingRule> rules = {});
 
   /// Checks a model file's structure and every CRC without
   /// deserializing any model state (the `wym_cli verify` backend).
   /// `summary` (optional) receives a per-frame report. Legacy v1 files
-  /// verify vacuously (they carry no checksums) with a note to re-save.
+  /// fail with `Status::Corruption`, as in LoadFromFile.
   [[nodiscard]] static Status VerifyFile(const std::string& path,
                                          std::string* summary = nullptr);
 
@@ -215,13 +222,19 @@ class WymModel : public Matcher {
   size_t num_attributes() const { return num_attributes_; }
 
  private:
-  ScoredUnitSet BuildScoredUnits(const TokenizedRecord& record) const;
+  /// The record pipeline, EX(r) of paper §3.1, behind every entry
+  /// point: tokenize + encode once, then decision units, relevance
+  /// scores and the match probability; impacts and ExplainedUnits only
+  /// when `with_units`. A degenerate record yields the empty non-match
+  /// explanation and sets `*reason` (when non-null).
+  Explanation ExplainRecord(const data::EmRecord& record, bool with_units,
+                            std::string* reason) const;
 
-  /// Shared implementation of the PredictProbaBatch overloads over a
-  /// contiguous record range.
-  std::vector<double> PredictProbaRange(const data::EmRecord* records,
-                                        size_t n, PredictionReport* report,
-                                        util::ThreadPool* pool) const;
+  /// The one batch body: ExplainRecord over `records` in a ParallelFor,
+  /// traced and counted under `explain.*` (with_units) or `predict.*`.
+  std::vector<Explanation> ExplainRecords(
+      std::span<const data::EmRecord> records, bool with_units,
+      PredictionReport* report, util::ThreadPool* pool) const;
 
   WymConfig config_;
   text::Tokenizer tokenizer_;

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <sstream>
 
+#include "obs/json.h"
 #include "util/string_util.h"
 
 namespace wym::explain {
@@ -22,39 +23,6 @@ const char* PhaseName(core::UnitPhase phase) {
       return "unpaired";
   }
   return "?";
-}
-
-std::string JsonEscape(const std::string& text) {
-  std::string out;
-  out.reserve(text.size() + 2);
-  for (char c : text) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buffer[8];
-          std::snprintf(buffer, sizeof(buffer), "\\u%04x", c);
-          out += buffer;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
 }
 
 }  // namespace
@@ -137,15 +105,15 @@ std::string ExplanationToJson(const core::Explanation& explanation) {
   for (size_t u = 0; u < explanation.units.size(); ++u) {
     const auto& eu = explanation.units[u];
     if (u > 0) out << ',';
-    out << "{\"label\":\"" << JsonEscape(eu.unit.Label()) << "\""
+    out << "{\"label\":\"" << obs::JsonEscape(eu.unit.Label()) << "\""
         << ",\"paired\":" << (eu.unit.paired ? "true" : "false")
         << ",\"phase\":\"" << PhaseName(eu.unit.phase) << "\""
         << ",\"attribute\":" << eu.unit.AnchorAttribute();
     if (eu.unit.paired) {
-      out << ",\"left\":\"" << JsonEscape(eu.unit.left.token) << "\""
-          << ",\"right\":\"" << JsonEscape(eu.unit.right.token) << "\"";
+      out << ",\"left\":\"" << obs::JsonEscape(eu.unit.left.token) << "\""
+          << ",\"right\":\"" << obs::JsonEscape(eu.unit.right.token) << "\"";
     } else {
-      out << ",\"token\":\"" << JsonEscape(eu.unit.UnpairedToken().token)
+      out << ",\"token\":\"" << obs::JsonEscape(eu.unit.UnpairedToken().token)
           << "\",\"side\":\""
           << (eu.unit.unpaired_side == core::Side::kLeft ? "left" : "right")
           << "\"";

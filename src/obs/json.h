@@ -12,7 +12,7 @@
 /// (balanced containers, quoted keys, no trailing commas), permissive
 /// on numbers (parsed via strtod). Objects preserve key order and
 /// allow duplicate keys (Find returns the first), which is all the
-/// validators need.
+/// validators need. Also home to the tree's one JSON string escaper.
 
 namespace wym::obs {
 
@@ -41,6 +41,13 @@ struct JsonValue {
 /// Parses `text` into `*out`. On failure returns false and describes
 /// the problem (with a line number) in `*error` when non-null.
 bool ParseJson(const std::string& text, JsonValue* out, std::string* error);
+
+/// The body of a JSON string literal for `text`, without the quotes:
+/// `"` `\` `\n` `\r` `\t` get their short escapes, other bytes below
+/// 0x20 become `\u00xx`, everything else (UTF-8 included) passes
+/// through. The one escaper of the analysis report, explanation JSON
+/// and wire protocol.
+std::string JsonEscape(const std::string& text);
 
 }  // namespace wym::obs
 

@@ -125,7 +125,8 @@ std::string RenderResponse(const Response& response);
 /// parses as IoError so a confused client still fails closed.
 Result<Response> ParseResponse(const std::string& line);
 
-/// JSON string escaping shared by the render functions.
+/// `text` as a quoted JSON string literal (obs::JsonEscape inside the
+/// quotes), shared by the render functions.
 std::string EscapeJsonString(const std::string& text);
 
 }  // namespace wym::serve

@@ -477,11 +477,16 @@ Response MatcherService::ExecutePredict(RequestState* state_ptr) {
     }
     if (miss_indices.empty()) continue;
 
+    // The offline batch paths, verbatim — serve answers are
+    // byte-identical to PredictProbaBatch / ExplainBatch on the same
+    // pairs (quarantined records included: same 0.0 fallback).
+    core::PredictionReport report;
     if (request.explain) {
+      const std::vector<core::Explanation> explanations =
+          model.ExplainBatch(miss_records, &report, pool_);
       for (size_t m = 0; m < miss_indices.size(); ++m) {
         const size_t i = miss_indices[m];
-        const core::Explanation explanation =
-            model.Explain(miss_records[m]);
+        const core::Explanation& explanation = explanations[m];
         response.results[i].prediction = explanation.prediction;
         response.results[i].probability = explanation.probability;
         response.results[i].explanation_json =
@@ -492,10 +497,6 @@ Response MatcherService::ExecutePredict(RequestState* state_ptr) {
                           response.results[i].explanation_json});
       }
     } else {
-      // The offline batch path, verbatim — serve answers are
-      // byte-identical to PredictProbaBatch on the same pairs
-      // (quarantined records included: same 0.0 fallback).
-      core::PredictionReport report;
       const std::vector<double> probabilities =
           model.PredictProbaBatch(miss_records, &report, pool_);
       for (size_t m = 0; m < miss_indices.size(); ++m) {

@@ -755,10 +755,10 @@ void CheckTodoIssue(const FileCtx& ctx, std::vector<Finding>* out) {
 void CheckUncheckedStatus(const FileCtx& ctx, std::vector<Finding>* out) {
   // (a) Library-wide Status/Result returners callable across TUs.
   static const char* kRegistry[] = {
-      "SaveToFile",     "SaveToFileV1",     "LoadFromFile",
-      "VerifyFile",     "WriteDatasetCsv",  "ReadDatasetCsv",
-      "DatasetFromCsv", "WriteFileAtomic",  "ReadFileToString",
-      "DecodeFramedFile", "VerifyFramedFile", "Annotate",
+      "SaveToFile",       "LoadFromFile",     "VerifyFile",
+      "WriteDatasetCsv",  "ReadDatasetCsv",   "DatasetFromCsv",
+      "WriteFileAtomic",  "ReadFileToString", "DecodeFramedFile",
+      "VerifyFramedFile", "Annotate",
   };
   std::vector<std::string> candidates(std::begin(kRegistry),
                                       std::end(kRegistry));

@@ -12,7 +12,8 @@ CLI="$1"
 LINT="$2"
 SERVE="$3"
 WORK="$(mktemp -d)"
-trap 'rm -rf "$WORK"' EXIT
+# A failing check exits mid-scenario: stop any server still running.
+trap 'kill ${SERVE_PID:-} ${SERVE2_PID:-} 2>/dev/null || true; rm -rf "$WORK"' EXIT
 
 "$CLI" list | grep -q "S-FZ"
 
@@ -67,6 +68,11 @@ half=$((size / 2))
 expect_exit 3 "$CLI" verify --model "$WORK/corrupt.wym"
 expect_exit 3 "$CLI" explain --data "$WORK/data.csv" --record 2 \
   --model "$WORK/corrupt.wym"
+
+# Exit 3: a legacy v1 model file (unframed stream) is no longer read.
+printf '12 wym-model/v1\n' > "$WORK/legacy.wym"
+expect_exit 3 "$CLI" verify --model "$WORK/legacy.wym"
+grep -q 'unsupported legacy v1' "$WORK/stderr.txt"
 
 # Exit 2: a model file that does not exist.
 expect_exit 2 "$CLI" verify --model "$WORK/no-such-model.wym"
@@ -184,6 +190,20 @@ if [ -n "$SERVE" ]; then
   "$CLI" query --socket "$SOCK" \
     --left 'sony dslr a100 camera|10.2mp' \
     --right 'sony dslr-a100|10.2 megapixel' | grep -q "(cached)"
+
+  # A stopword-only pair tokenizes to nothing on both sides: the plain
+  # and the explained answer must carry the same decision (the first
+  # match is the result's own; the explanation object repeats it).
+  decision() {
+    "$CLI" query --socket "$SOCK" --json --left 'the|of' --right 'a|an' "$@" \
+      | grep -o '"prediction":[^,]*,"probability":[^,]*' | head -n 1
+  }
+  plain=$(decision)
+  explained=$(decision --explain)
+  if [ -z "$plain" ] || [ "$plain" != "$explained" ]; then
+    echo "predict ($plain) and explain ($explained) disagree" >&2
+    exit 1
+  fi
 
   # Hot-load the same file under a second name, then query it.
   "$CLI" query --socket "$SOCK" --op load_model \

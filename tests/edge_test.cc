@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <vector>
+
 #include "baselines/similarity_features.h"
 #include "core/feature_extractor.h"
 #include "core/wym.h"
@@ -147,13 +150,47 @@ TEST(WymEdgeTest, BothEntitiesEmptyYieldNoUnits) {
   core::WymModel model;
   model.Fit(split.train, split.validation);
 
-  data::EmRecord record;
-  record.left.values.assign(dataset.schema.size(), "");
-  record.right.values.assign(dataset.schema.size(), "");
-  const core::Explanation explanation = model.Explain(record);
-  EXPECT_TRUE(explanation.units.empty());
-  EXPECT_GE(explanation.probability, 0.0);
-  EXPECT_LE(explanation.probability, 1.0);
+  // Two records with zero tokens on both sides: empty values, and
+  // stopword-only values that the tokenizer drops entirely.
+  data::EmRecord empty;
+  empty.left.values.assign(dataset.schema.size(), "");
+  empty.right.values.assign(dataset.schema.size(), "");
+  data::EmRecord stopwords = empty;
+  stopwords.left.values[0] = "the";
+  stopwords.right.values[0] = "a of";
+  data::Dataset batch;
+  batch.schema = dataset.schema;
+  batch.records = {empty, stopwords};
+  const std::vector<data::EmRecord>& records = batch.records;
+
+  // Every entry point gives them the same non-match fallback, bit for
+  // bit: probability 0.0, prediction 0, no units.
+  core::PredictionReport predict_report, explain_report;
+  const std::vector<double> probabilities =
+      model.PredictProbaBatch(batch, &predict_report);
+  const std::vector<core::Explanation> explained =
+      model.ExplainBatch(batch, &explain_report);
+  EXPECT_EQ(predict_report.quarantined.size(), records.size());
+  EXPECT_EQ(explain_report.quarantined.size(), records.size());
+  const double zero = 0.0;
+  for (size_t i = 0; i < records.size(); ++i) {
+    const double single = model.PredictProba(records[i]);
+    const core::Explanation explanation = model.Explain(records[i]);
+    EXPECT_EQ(std::memcmp(&single, &zero, sizeof(double)), 0) << i;
+    EXPECT_EQ(std::memcmp(&explanation.probability, &zero, sizeof(double)),
+              0)
+        << i;
+    EXPECT_EQ(std::memcmp(&probabilities[i], &zero, sizeof(double)), 0)
+        << i;
+    EXPECT_EQ(std::memcmp(&explained[i].probability, &zero, sizeof(double)),
+              0)
+        << i;
+    EXPECT_EQ(model.Predict(records[i]), 0) << i;
+    EXPECT_EQ(explanation.prediction, 0) << i;
+    EXPECT_EQ(explained[i].prediction, 0) << i;
+    EXPECT_TRUE(explanation.units.empty()) << i;
+    EXPECT_TRUE(explained[i].units.empty()) << i;
+  }
 }
 
 }  // namespace

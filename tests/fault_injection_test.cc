@@ -8,7 +8,7 @@
 //   - Load of a damaged file ALWAYS returns Corruption/IoError. It
 //     never aborts, never hangs, never returns OK on damaged bytes.
 //   - A failed or crashed save never clobbers the previous good model.
-//   - Legacy v1 files migrate to v2 with byte-identical predictions.
+//   - Legacy v1 files are refused with a typed Corruption error.
 //
 // Run under scripts/check.sh's asan-ubsan configuration this doubles as
 // a memory-safety sweep of every decode error path.
@@ -216,49 +216,27 @@ TEST_F(FaultInjectionTest, FailedAndEnospcSavesLeaveNoDebris) {
 }
 
 // ---------------------------------------------------------------------
-// Legacy v1 -> v2 migration
+// Legacy v1 files
 // ---------------------------------------------------------------------
 
-TEST_F(FaultInjectionTest, V1FileMigratesWithIdenticalPredictions) {
-  const std::string v1_path = testing::TempDir() + "/wym_fault_legacy.wym";
-  ASSERT_TRUE(suite_->model.SaveToFileV1(v1_path).ok());
+TEST_F(FaultInjectionTest, LegacyV1FileIsRejectedWithTypedError) {
+  // The unframed v1 stream opened with its length-prefixed tag; the
+  // format is no longer read, and both entry points say so by name.
+  const std::string v1_path = testing::TempDir() + "/wym_fault_legacy." +
+                              std::to_string(::getpid()) + ".wym";
+  ASSERT_TRUE(io::WriteFileAtomic(v1_path, "12 wym-model/v1\n1\n1\n").ok());
 
-  // Loading the unframed v1 stream still works (deprecation note on
-  // stderr) and reproduces the predictions bit for bit.
-  auto migrated = core::WymModel::LoadFromFile(v1_path);
-  ASSERT_TRUE(migrated.ok()) << migrated.status().ToString();
-  const std::vector<double> v1_probas =
-      migrated.value().PredictProbaBatch(suite_->split.test);
-  ASSERT_EQ(v1_probas.size(), suite_->clean_probas.size());
-  for (size_t i = 0; i < v1_probas.size(); ++i) {
-    EXPECT_DOUBLE_EQ(v1_probas[i], suite_->clean_probas[i]);
-  }
+  const auto loaded = core::WymModel::LoadFromFile(v1_path);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), Status::Code::kCorruption);
+  EXPECT_EQ(loaded.status().message(),
+            "unsupported legacy v1 model file: " + v1_path);
 
-  // Re-saving the migrated model upgrades it to the framed v2 format...
-  const std::string v2_path = testing::TempDir() + "/wym_fault_migrated.wym";
-  ASSERT_TRUE(migrated.value().SaveToFile(v2_path).ok());
-  std::string v2_bytes;
-  ASSERT_TRUE(io::ReadFileToString(v2_path, &v2_bytes).ok());
-  EXPECT_TRUE(io::LooksFramed(v2_bytes, "WYM2"));
-
-  // ...again with byte-identical predictions.
-  auto upgraded = core::WymModel::LoadFromFile(v2_path);
-  ASSERT_TRUE(upgraded.ok()) << upgraded.status().ToString();
-  const std::vector<double> v2_probas =
-      upgraded.value().PredictProbaBatch(suite_->split.test);
-  for (size_t i = 0; i < v2_probas.size(); ++i) {
-    EXPECT_DOUBLE_EQ(v2_probas[i], suite_->clean_probas[i]);
-  }
-  std::remove(v1_path.c_str());
-  std::remove(v2_path.c_str());
-}
-
-TEST_F(FaultInjectionTest, V1FileVerifiesVacuouslyWithUpgradeNote) {
-  const std::string v1_path = testing::TempDir() + "/wym_fault_v1v.wym";
-  ASSERT_TRUE(suite_->model.SaveToFileV1(v1_path).ok());
   std::string summary;
-  ASSERT_TRUE(core::WymModel::VerifyFile(v1_path, &summary).ok());
-  EXPECT_NE(summary.find("legacy"), std::string::npos) << summary;
+  const Status verified = core::WymModel::VerifyFile(v1_path, &summary);
+  EXPECT_EQ(verified.code(), Status::Code::kCorruption);
+  EXPECT_EQ(verified.message(),
+            "unsupported legacy v1 model file: " + v1_path);
   std::remove(v1_path.c_str());
 }
 
@@ -293,8 +271,8 @@ TEST_F(FaultInjectionTest, TruncatedCsvReadIsReportedNotCrashed) {
 
 TEST_F(FaultInjectionTest, DegenerateRecordsAreQuarantinedNotFatal) {
   // A record with empty descriptions tokenizes to zero tokens on both
-  // sides — unexplainable, and a guaranteed abort in the scorer if it
-  // ever reached the pipeline.
+  // sides, so it has no decision units to decide on: every entry point
+  // gives it the non-match fallback instead of a classifier guess.
   data::Dataset poisoned = suite_->split.test;
   const size_t width = poisoned.schema.size();
   data::EmRecord degenerate;
@@ -331,6 +309,9 @@ TEST_F(FaultInjectionTest, DegenerateRecordsAreQuarantinedNotFatal) {
   EXPECT_TRUE(explanations[1].units.empty());
   EXPECT_EQ(explanations[1].probability, 0.0);
   EXPECT_EQ(explanations[1].prediction, 0);
+  for (size_t i = 2; i < explanations.size(); ++i) {
+    EXPECT_EQ(explanations[i].probability, suite_->clean_probas[i - 1]);
+  }
 }
 
 // ---------------------------------------------------------------------

@@ -526,8 +526,10 @@ TEST(QuantizedPipelineTest, PredictionsBitIdenticalAcrossThreadCounts) {
   model.Fit(split.train, split.validation);
 
   util::ThreadPool one(1), eight(8);
-  const std::vector<double> p1 = model.PredictProbaBatch(split.test, &one);
-  const std::vector<double> p8 = model.PredictProbaBatch(split.test, &eight);
+  const std::vector<double> p1 =
+      model.PredictProbaBatch(split.test, nullptr, &one);
+  const std::vector<double> p8 =
+      model.PredictProbaBatch(split.test, nullptr, &eight);
   ASSERT_EQ(p1.size(), p8.size());
   ASSERT_FALSE(p1.empty());
   for (size_t i = 0; i < p1.size(); ++i) {

@@ -246,6 +246,21 @@ TEST(JsonParserTest, RejectsPathologicalNesting) {
 // Tracing
 // ---------------------------------------------------------------------
 
+TEST(JsonEscapeTest, CoversControlAndQuoteCharacters) {
+  EXPECT_EQ(obs::JsonEscape("a\"b\\c\nd\te\rf"), "a\\\"b\\\\c\\nd\\te\\rf");
+  EXPECT_EQ(obs::JsonEscape(std::string(1, '\x01')), "\\u0001");
+  EXPECT_EQ(obs::JsonEscape(std::string(1, '\x1f')), "\\u001f");
+  // Bytes from 0x20 up, UTF-8 included, pass through untouched.
+  EXPECT_EQ(obs::JsonEscape("caf\xc3\xa9 /~"), "caf\xc3\xa9 /~");
+  // Round-trip through the validating parser.
+  obs::JsonValue value;
+  std::string error;
+  const std::string text =
+      "{\"k\": \"" + obs::JsonEscape("quote\" slash\\ nl\n") + "\"}";
+  ASSERT_TRUE(obs::ParseJson(text, &value, &error)) << error;
+  EXPECT_EQ(value.Find("k")->string, "quote\" slash\\ nl\n");
+}
+
 TEST(TraceTest, NowNanosIsMonotonic) {
   const std::uint64_t a = obs::NowNanos();
   const std::uint64_t b = obs::NowNanos();
@@ -393,7 +408,7 @@ TEST(NonPerturbationTest, TracedRunIsByteIdenticalToUntracedRun) {
   core::WymModel plain;
   plain.Fit(split.train, split.validation);
   const std::vector<double> plain_probs =
-      plain.PredictProbaBatch(split.test, static_cast<util::ThreadPool*>(nullptr));
+      plain.PredictProbaBatch(split.test);
   const std::string plain_path = "/tmp/wym_obs_plain.bin";
   ASSERT_TRUE(plain.SaveToFile(plain_path).ok());
 
@@ -403,7 +418,7 @@ TEST(NonPerturbationTest, TracedRunIsByteIdenticalToUntracedRun) {
   core::WymModel traced;
   traced.Fit(split.train, split.validation);
   const std::vector<double> traced_probs =
-      traced.PredictProbaBatch(split.test, static_cast<util::ThreadPool*>(nullptr));
+      traced.PredictProbaBatch(split.test);
   const std::string traced_model_path = "/tmp/wym_obs_traced.bin";
   ASSERT_TRUE(traced.SaveToFile(traced_model_path).ok());
   std::string error;
@@ -442,7 +457,7 @@ TEST(PipelineCountersTest, FitAndPredictPopulateCounters) {
   const data::Split split = data::DefaultSplit(dataset, 7);
   core::WymModel model;
   model.Fit(split.train, split.validation);
-  (void)model.PredictProbaBatch(split.test, static_cast<util::ThreadPool*>(nullptr));
+  (void)model.PredictProbaBatch(split.test);
 
   EXPECT_EQ(registry.GetCounter("fit.records").Value() - fit_before,
             split.train.size());

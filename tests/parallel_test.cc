@@ -163,9 +163,10 @@ std::unique_ptr<core::WymModel> BatchDeterminismTest::model_;
 
 TEST_F(BatchDeterminismTest, PredictProbaBatchBitIdenticalAcrossThreadCounts) {
   util::ThreadPool one(1), eight(8);
-  const std::vector<double> p1 = model_->PredictProbaBatch(split_->test, &one);
+  const std::vector<double> p1 =
+      model_->PredictProbaBatch(split_->test, nullptr, &one);
   const std::vector<double> p8 =
-      model_->PredictProbaBatch(split_->test, &eight);
+      model_->PredictProbaBatch(split_->test, nullptr, &eight);
   ASSERT_EQ(p1.size(), split_->test.size());
   ASSERT_EQ(p1.size(), p8.size());
   // Bit-identical, not approximately equal.
@@ -181,9 +182,9 @@ TEST_F(BatchDeterminismTest, PredictProbaBatchBitIdenticalAcrossThreadCounts) {
 TEST_F(BatchDeterminismTest, ExplainBatchBitIdenticalAcrossThreadCounts) {
   util::ThreadPool one(1), eight(8);
   const std::vector<core::Explanation> e1 =
-      model_->ExplainBatch(split_->test, &one);
+      model_->ExplainBatch(split_->test, nullptr, &one);
   const std::vector<core::Explanation> e8 =
-      model_->ExplainBatch(split_->test, &eight);
+      model_->ExplainBatch(split_->test, nullptr, &eight);
   ASSERT_EQ(e1.size(), split_->test.size());
   ASSERT_EQ(e1.size(), e8.size());
   for (size_t i = 0; i < e1.size(); ++i) {
@@ -221,8 +222,9 @@ TEST_F(BatchDeterminismTest,
   std::vector<std::vector<double>> runs;
   for (SimdLevel level : levels) {
     la::kernels::SetSimdLevel(level);
-    runs.push_back(model_->PredictProbaBatch(split_->test, &one));
-    runs.push_back(model_->PredictProbaBatch(split_->test, &eight));
+    runs.push_back(model_->PredictProbaBatch(split_->test, nullptr, &one));
+    runs.push_back(
+        model_->PredictProbaBatch(split_->test, nullptr, &eight));
   }
   la::kernels::SetSimdLevel(ambient);
 

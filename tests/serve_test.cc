@@ -28,6 +28,7 @@
 #include "core/wym.h"
 #include "data/benchmark_gen.h"
 #include "data/split.h"
+#include "explain/report.h"
 #include "obs/event_log.h"
 #include "obs/metrics.h"
 #include "obs/recorder.h"
@@ -432,6 +433,66 @@ TEST_F(ServiceTest, BatchAnswersMatchOfflineExactly) {
   ASSERT_EQ(response.results.size(), offline.size());
   for (size_t i = 0; i < offline.size(); ++i) {
     EXPECT_EQ(response.results[i].probability, offline[i]) << i;
+  }
+}
+
+TEST_F(ServiceTest, ExplainAnswersMatchPredictAnswersAndOfflineBatches) {
+  ModelRegistry registry;
+  ASSERT_TRUE(registry.LoadModel("default", suite_->model_path).ok());
+  ServiceOptions options;
+  options.auto_dispatch = false;
+  options.cache_entries = 0;  // Pure compute path.
+  MatcherService service(&registry, options);
+
+  // A stopword-only pair (zero tokens on both sides after tokenization)
+  // next to a healthy one.
+  data::EmRecord degenerate;
+  degenerate.left.values.assign(suite_->dataset.schema.size(), "");
+  degenerate.right.values = degenerate.left.values;
+  degenerate.left.values[0] = "the";
+  degenerate.right.values[0] = "a of";
+  const std::vector<data::EmRecord> records = {degenerate, TestPair(0)};
+
+  obs::Counter& explained =
+      obs::Registry::Global().GetCounter("explain.records");
+  const std::uint64_t explained_before = explained.Value();
+  ResponseLog log;
+  for (const bool explain : {false, true}) {
+    Request request;
+    request.op = Request::Op::kPredict;
+    request.id = explain ? "explain" : "predict";
+    request.explain = explain;
+    request.pairs = records;
+    ASSERT_TRUE(service.Admit(request, log.Sink()).ok());
+    EXPECT_EQ(service.ProcessQueued(), 1u);
+  }
+  EXPECT_EQ(explained.Value() - explained_before, records.size());
+
+  ASSERT_EQ(log.size(), 2u);
+  const Response& plain = log.responses[0];
+  const Response& explain = log.responses[1];
+  ASSERT_TRUE(plain.status.ok()) << plain.status.ToString();
+  ASSERT_TRUE(explain.status.ok()) << explain.status.ToString();
+  ASSERT_EQ(plain.results.size(), records.size());
+  ASSERT_EQ(explain.results.size(), records.size());
+
+  // Same decision with and without the explanation, and both exactly
+  // the offline batch answers.
+  const std::vector<double> offline = Offline(records);
+  data::Dataset batch;
+  batch.records = records;
+  const std::vector<core::Explanation> offline_explained =
+      suite_->loaded->ExplainBatch(batch);
+  EXPECT_EQ(offline[0], 0.0);  // The non-match fallback.
+  for (size_t i = 0; i < records.size(); ++i) {
+    EXPECT_EQ(plain.results[i].probability, offline[i]) << i;
+    EXPECT_EQ(explain.results[i].probability, offline[i]) << i;
+    EXPECT_EQ(plain.results[i].prediction, offline[i] >= 0.5 ? 1 : 0) << i;
+    EXPECT_EQ(explain.results[i].prediction, plain.results[i].prediction)
+        << i;
+    EXPECT_EQ(explain.results[i].explanation_json,
+              explain::ExplanationToJson(offline_explained[i]))
+        << i;
   }
 }
 

@@ -545,19 +545,6 @@ TEST(ReportTest, GraphJsonValidatesUnderObsJsonToo) {
   EXPECT_EQ(value.Find("exit_code")->number, 5.0);
 }
 
-TEST(ReportTest, JsonEscapingCoversControlAndQuoteCharacters) {
-  EXPECT_EQ(EscapeJson("a\"b\\c\nd\te"), "a\\\"b\\\\c\\nd\\te");
-  EXPECT_EQ(EscapeJson(std::string(1, '\x01')), "\\u0001");
-  // Round-trip through the validating parser.
-  obs::JsonValue value;
-  std::string error;
-  ASSERT_TRUE(obs::ParseJson(
-      "{\"k\": \"" + EscapeJson("quote\" slash\\ nl\n") + "\"}", &value,
-      &error))
-      << error;
-  EXPECT_EQ(value.Find("k")->string, "quote\" slash\\ nl\n");
-}
-
 TEST(ReportTest, SeverityPartitionsHygieneFromContractChecks) {
   EXPECT_EQ(SeverityOf("todo-issue"), Severity::kWarning);
   EXPECT_EQ(SeverityOf("layer-order"), Severity::kError);
