@@ -12,6 +12,7 @@
 #include "explain/lime.h"
 #include "explain/report.h"
 #include "explain/token_explanation.h"
+#include "obs/json.h"
 #include "util/stats.h"
 
 namespace wym::explain {
@@ -294,22 +295,17 @@ TEST(ReportTest, EmptyExplanation) {
 
 TEST(ReportTest, JsonIsWellFormedAndEscaped) {
   const std::string json = ExplanationToJson(MakeTinyExplanation());
-  EXPECT_NE(json.find("\"prediction\":1"), std::string::npos);
-  EXPECT_NE(json.find("\"paired\":true"), std::string::npos);
-  EXPECT_NE(json.find("\"phase\":\"intra\""), std::string::npos);
-  EXPECT_NE(json.find("eng\\\"x"), std::string::npos);  // Escaped quote.
-  // Balanced braces/brackets.
-  int braces = 0, brackets = 0;
-  bool in_string = false;
-  for (size_t i = 0; i < json.size(); ++i) {
-    const char c = json[i];
-    if (c == '"' && (i == 0 || json[i - 1] != '\\')) in_string = !in_string;
-    if (in_string) continue;
-    braces += (c == '{') - (c == '}');
-    brackets += (c == '[') - (c == ']');
-  }
-  EXPECT_EQ(braces, 0);
-  EXPECT_EQ(brackets, 0);
+  EXPECT_EQ(json,
+            "{\"prediction\":1,\"probability\":0.930000,\"units\":["
+            "{\"label\":\"(exch, exch)\",\"paired\":true,\"phase\":\"intra\","
+            "\"attribute\":0,\"left\":\"exch\",\"right\":\"exch\","
+            "\"relevance\":0.800000,\"impact\":1.200000},"
+            "{\"label\":\"(eng\\\"x)\",\"paired\":false,\"phase\":\"unpaired\","
+            "\"attribute\":0,\"token\":\"eng\\\"x\",\"side\":\"left\","
+            "\"relevance\":-0.600000,\"impact\":-0.400000}]}");
+  obs::JsonValue root;
+  std::string error;
+  EXPECT_TRUE(obs::ParseJson(json, &root, &error)) << error;
 }
 
 }  // namespace

@@ -319,6 +319,34 @@ TEST(TraceTest, SpansProduceValidTraceEventJson) {
   std::remove(path.c_str());
 }
 
+TEST(TraceTest, FixedEventsWriteExactBytes) {
+  const std::string path = "/tmp/wym_obs_test_trace_fixed.json";
+  std::remove(path.c_str());
+
+  // Nothing recorded: the file still holds a valid, empty event list.
+  obs::StartTracing(path);
+  ASSERT_TRUE(obs::StopTracingAndWrite());
+  EXPECT_EQ(ReadFileBytes(path),
+            "{\"displayTimeUnit\":\"ns\",\"traceEvents\":[\n"
+            "]}\n");
+
+  // Events are written sorted by start time, with ns rendered as
+  // fixed-point microseconds. The main thread registers its buffer
+  // first, so it is tid 0.
+  obs::StartTracing(path);
+  obs::AppendCompleteEvent("test.late", "cat", 123456789012ull, 1234567);
+  obs::AppendCompleteEvent("test.early", "test", 1500, 1);
+  ASSERT_TRUE(obs::StopTracingAndWrite());
+  EXPECT_EQ(ReadFileBytes(path),
+            "{\"displayTimeUnit\":\"ns\",\"traceEvents\":[\n"
+            "{\"name\":\"test.early\",\"cat\":\"test\",\"ph\":\"X\","
+            "\"pid\":1,\"tid\":0,\"ts\":1.500,\"dur\":0.001},\n"
+            "{\"name\":\"test.late\",\"cat\":\"cat\",\"ph\":\"X\","
+            "\"pid\":1,\"tid\":0,\"ts\":123456789.012,\"dur\":1234.567}\n"
+            "]}\n");
+  std::remove(path.c_str());
+}
+
 TEST(TraceTest, StopWithoutStartFailsCleanly) {
   ASSERT_FALSE(obs::TracingActive());
   std::string error;
@@ -647,10 +675,27 @@ TEST(FlightRecorderTest, DumpJsonValidatesAndSanitizesReason) {
     recorder.Record(MakeRecord(seq));
   }
   const std::string dump = recorder.DumpJson("watchdog");
+  EXPECT_EQ(dump,
+            "{\"schema\":\"wym-flight-recorder/v1\",\"reason\":\"watchdog\","
+            "\"capacity\":8,\"recorded\":3,\"records\":[\n"
+            "  {\"schema\":\"wym-journal/v1\",\"seq\":1,\"id\":\"q00000001\","
+            "\"client_id\":\"cli\",\"op\":\"predict\",\"model\":\"default#1\","
+            "\"outcome\":\"ok\",\"admit_ns\":1000,\"queue_ns\":10,"
+            "\"run_ns\":20,\"total_ns\":30,\"pairs\":2,\"batches\":1,"
+            "\"cached\":1},\n"
+            "  {\"schema\":\"wym-journal/v1\",\"seq\":2,\"id\":\"q00000002\","
+            "\"client_id\":\"cli\",\"op\":\"predict\",\"model\":\"default#1\","
+            "\"outcome\":\"ok\",\"admit_ns\":1000,\"queue_ns\":10,"
+            "\"run_ns\":20,\"total_ns\":30,\"pairs\":2,\"batches\":1,"
+            "\"cached\":1},\n"
+            "  {\"schema\":\"wym-journal/v1\",\"seq\":3,\"id\":\"q00000003\","
+            "\"client_id\":\"cli\",\"op\":\"predict\",\"model\":\"default#1\","
+            "\"outcome\":\"ok\",\"admit_ns\":1000,\"queue_ns\":10,"
+            "\"run_ns\":20,\"total_ns\":30,\"pairs\":2,\"batches\":1,"
+            "\"cached\":1}\n"
+            "]}\n");
   std::string error;
   EXPECT_TRUE(obs::ValidateFlightRecorderJson(dump, &error)) << error;
-  EXPECT_NE(dump.find("\"reason\":\"watchdog\""), std::string::npos);
-  EXPECT_NE(dump.find("\"recorded\":3"), std::string::npos);
 
   // A hostile reason cannot break the JSON: quotes become '_'.
   const std::string hostile = recorder.DumpJson("a\"b");
@@ -658,8 +703,11 @@ TEST(FlightRecorderTest, DumpJsonValidatesAndSanitizesReason) {
 
   // An empty recorder still dumps a valid artifact.
   obs::FlightRecorder idle(2);
-  EXPECT_TRUE(obs::ValidateFlightRecorderJson(idle.DumpJson("drain"), &error))
-      << error;
+  const std::string empty = idle.DumpJson("drain");
+  EXPECT_EQ(empty,
+            "{\"schema\":\"wym-flight-recorder/v1\",\"reason\":\"drain\","
+            "\"capacity\":2,\"recorded\":0,\"records\":[]}\n");
+  EXPECT_TRUE(obs::ValidateFlightRecorderJson(empty, &error)) << error;
 
   EXPECT_FALSE(obs::ValidateFlightRecorderJson("{}", &error));
   EXPECT_FALSE(obs::ValidateFlightRecorderJson("nope", &error));
@@ -723,9 +771,20 @@ TEST(WindowTrackerTest, TelemetryJsonValidatesAndIsClockFree) {
   registry.GetCounter(prefix + ".requests").Reset();
   registry.GetHistogram(prefix + ".latency").Reset();
 
+  registry.GetCounter(prefix + ".shed").Reset();
+  registry.GetCounter(prefix + ".hits").Reset();
+  registry.GetCounter(prefix + ".misses").Reset();
+  const auto traffic = [&registry, &prefix] {
+    registry.GetCounter(prefix + ".requests").Add(5);
+    registry.GetCounter(prefix + ".shed").Add(1);
+    registry.GetCounter(prefix + ".hits").Add(1);
+    registry.GetCounter(prefix + ".misses").Add(2);
+    registry.GetHistogram(prefix + ".latency").Record(1000);
+  };
+
   obs::WindowTracker tracker(ScratchWindowOptions(prefix));
   tracker.Tick(1000);
-  registry.GetCounter(prefix + ".requests").Add(5);
+  traffic();
   tracker.Tick(2000);
 
   const std::string telemetry = tracker.TelemetryJson();
@@ -733,13 +792,22 @@ TEST(WindowTrackerTest, TelemetryJsonValidatesAndIsClockFree) {
   EXPECT_TRUE(obs::ValidateTelemetryJson(telemetry, &error))
       << error << "\n" << telemetry;
   // now_ns is the injected stamp of the newest sample — no wall clock.
-  EXPECT_NE(telemetry.find("\"now_ns\":2000"), std::string::npos);
+  EXPECT_EQ(telemetry,
+            "{\"schema\":\"wym-telemetry/v1\",\"now_ns\":2000,"
+            "\"samples\":2,\"windows\":{\"10s\":{\"window_ns\":1000,"
+            "\"requests\":5,\"qps\":5000000.000,\"shed\":1,"
+            "\"shed_rate\":0.200000,\"cache_hits\":1,\"cache_misses\":2,"
+            "\"cache_hit_rate\":0.333333,\"p50_ns\":767.5,"
+            "\"p95_ns\":997.5,\"p99_ns\":1017.9}}}\n");
 
   // Same ticks, same counter trajectory => byte-identical artifact.
-  registry.GetCounter(prefix + ".requests").Reset();
+  for (const char* counter : {".requests", ".shed", ".hits", ".misses"}) {
+    registry.GetCounter(prefix + counter).Reset();
+  }
+  registry.GetHistogram(prefix + ".latency").Reset();
   obs::WindowTracker replay(ScratchWindowOptions(prefix));
   replay.Tick(1000);
-  registry.GetCounter(prefix + ".requests").Add(5);
+  traffic();
   replay.Tick(2000);
   EXPECT_EQ(replay.TelemetryJson(), telemetry);
 

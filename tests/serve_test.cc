@@ -68,7 +68,14 @@ TEST(ProtocolTest, RequestRoundTrips) {
   pair.right.values = {"iphone 4s", ""};
   request.pairs.push_back(pair);
 
-  auto parsed = serve::ParseRequest(serve::RenderRequest(request));
+  const std::string line = serve::RenderRequest(request);
+  EXPECT_EQ(line,
+            "{\"op\":\"predict\",\"id\":\"r-1\",\"model\":\"catalog\","
+            "\"explain\":true,\"deadline_ms\":250,\"pairs\":[{\"left\":"
+            "[\"iphone \\\"4s\\\"\",\"black\"],\"right\":[\"iphone 4s\","
+            "\"\"]}]}");
+
+  auto parsed = serve::ParseRequest(line);
   ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
   const Request& back = parsed.value();
   EXPECT_EQ(back.op, Request::Op::kPredict);
@@ -110,7 +117,14 @@ TEST(ProtocolTest, ErrorResponsesCarryTheStatusCodeAcrossTheWire) {
     response.id = "x";
     response.op = "predict";
     response.status = status;
-    auto parsed = serve::ParseResponse(serve::RenderResponse(response));
+    const std::string line = serve::RenderResponse(response);
+    if (status.code() == Status::Code::kResourceExhausted) {
+      EXPECT_EQ(line,
+                "{\"proto\":\"wym-serve/v1\",\"id\":\"x\",\"op\":\"predict\","
+                "\"ok\":false,\"error\":{\"code\":\"ResourceExhausted\","
+                "\"message\":\"queue full\"}}");
+    }
+    auto parsed = serve::ParseResponse(line);
     ASSERT_TRUE(parsed.ok()) << status.ToString();
     EXPECT_EQ(parsed.value().status.code(), status.code());
     EXPECT_EQ(parsed.value().status.message(), status.message());
@@ -121,6 +135,7 @@ TEST(ProtocolTest, ErrorResponsesCarryTheStatusCodeAcrossTheWire) {
 TEST(ProtocolTest, ResponseResultsAndPayloadRoundTrip) {
   Response response;
   response.id = "q";
+  response.request_id = "q00000007";
   response.op = "predict";
   response.model = "default";
   serve::PairResult result;
@@ -131,7 +146,15 @@ TEST(ProtocolTest, ResponseResultsAndPayloadRoundTrip) {
   response.results.push_back(result);
   response.payload_json = "{\"models\":[\"a\",\"b\"]}";
 
-  auto parsed = serve::ParseResponse(serve::RenderResponse(response));
+  const std::string line = serve::RenderResponse(response);
+  EXPECT_EQ(line,
+            "{\"proto\":\"wym-serve/v1\",\"id\":\"q\",\"req\":\"q00000007\","
+            "\"op\":\"predict\",\"ok\":true,\"model\":\"default\","
+            "\"results\":[{\"prediction\":1,"
+            "\"probability\":0.12345678912345678,\"cached\":true,"
+            "\"explanation\":{\"prediction\":1,\"units\":[]}}],"
+            "\"payload\":{\"models\":[\"a\",\"b\"]}}");
+  auto parsed = serve::ParseResponse(line);
   ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
   const Response& back = parsed.value();
   ASSERT_EQ(back.results.size(), 1u);
@@ -141,6 +164,7 @@ TEST(ProtocolTest, ResponseResultsAndPayloadRoundTrip) {
   EXPECT_TRUE(back.results[0].cached);
   EXPECT_EQ(back.results[0].explanation_json, result.explanation_json);
   EXPECT_EQ(back.payload_json, response.payload_json);
+  EXPECT_EQ(back.request_id, "q00000007");
 }
 
 // ---------------------------------------------------------------------
