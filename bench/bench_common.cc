@@ -5,9 +5,9 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
-#include <sstream>
 
 #include "ml/metrics.h"
+#include "obs/json.h"
 #include "obs/metrics.h"
 #include "util/stopwatch.h"
 #include "util/string_util.h"
@@ -138,52 +138,44 @@ void PerfReport::AddBenchmark(const std::string& name, double time_ns,
 bool PerfReport::Write() const {
   if (!requested()) return true;
 
-  const auto escape = [](const std::string& s) {
-    std::string out;
-    out.reserve(s.size());
-    for (char c : s) {
-      if (c == '"' || c == '\\') {
-        out += '\\';
-        out += c;
-      } else if (static_cast<unsigned char>(c) < 0x20) {
-        out += ' ';
-      } else {
-        out += c;
-      }
-    }
-    return out;
-  };
-
-  std::ostringstream os;
-  os << "{\"schema\":\"wym-bench-report/v1\"";
-  os << ",\"bench\":\"" << escape(bench_name_) << "\"";
-  os << ",\"scale\":" << ScaleFromEnv();
-  os << ",\"seed\":" << kSeed;
-  os << ",\"benchmarks\":[";
-  for (size_t i = 0; i < benchmarks_.size(); ++i) {
-    if (i > 0) os << ",";
-    os << "{\"name\":\"" << escape(benchmarks_[i].name)
-       << "\",\"time_ns\":" << benchmarks_[i].time_ns
-       << ",\"iterations\":" << benchmarks_[i].iterations << "}";
+  std::string text;
+  obs::JsonWriter w(&text);
+  w.BeginObject();
+  w.Key("schema").String("wym-bench-report/v1");
+  w.Key("bench").String(bench_name_);
+  w.Key("scale").Double(ScaleFromEnv());
+  w.Key("seed").Uint(kSeed);
+  w.Key("benchmarks").BeginArray();
+  for (const BenchEntry& b : benchmarks_) {
+    w.BeginObject();
+    w.Key("name").String(b.name);
+    w.Key("time_ns").Double(b.time_ns);
+    w.Key("iterations").Uint(b.iterations);
+    w.EndObject();
   }
-  os << "],\"stages\":[";
-  for (size_t i = 0; i < stages_.size(); ++i) {
-    if (i > 0) os << ",";
-    os << "{\"name\":\"" << escape(stages_[i].name)
-       << "\",\"seconds\":" << stages_[i].value << "}";
+  w.EndArray();
+  w.Key("stages").BeginArray();
+  for (const Entry& stage : stages_) {
+    w.BeginObject();
+    w.Key("name").String(stage.name);
+    w.Key("seconds").Double(stage.value);
+    w.EndObject();
   }
-  os << "],\"rates\":[";
-  for (size_t i = 0; i < rates_.size(); ++i) {
-    if (i > 0) os << ",";
-    os << "{\"name\":\"" << escape(rates_[i].name)
-       << "\",\"per_sec\":" << rates_[i].value << "}";
+  w.EndArray();
+  w.Key("rates").BeginArray();
+  for (const Entry& rate : rates_) {
+    w.BeginObject();
+    w.Key("name").String(rate.name);
+    w.Key("per_sec").Double(rate.value);
+    w.EndObject();
   }
-  os << "],\"metrics\":"
-     << obs::MetricsToJson(obs::Registry::Global().Snapshot());
-  os << "}\n";
+  w.EndArray();
+  w.Key("metrics").Raw(obs::MetricsToJson(obs::Registry::Global().Snapshot()));
+  w.EndObject();
+  text += '\n';
 
   std::ofstream out(path_, std::ios::binary | std::ios::trunc);
-  out << os.str();
+  out << text;
   out.flush();
   if (!out) {
     std::fprintf(stderr, "perf report: cannot write %s\n", path_.c_str());

@@ -36,7 +36,7 @@ namespace wym::blocking {
 
 /// Options for CandidateStream.
 struct CandidateStreamOptions {
-  /// Token-index stage bounds (shared with TokenBlocker).
+  /// Token-index stage bounds.
   TokenBlockerOptions token;
   /// Embedding-LSH second stage; only active when `encoder` is set.
   EmbeddingLshOptions lsh;

@@ -18,8 +18,8 @@
 /// hyperplane signatures over the semantic encoder's pooled token
 /// vectors recover matches that share no surface token (abbreviations,
 /// heavy typos — WYM's semantic-pairing advantage, PAPER.md decision
-/// units), replacing the brute-force O(|L| x |R|) cosine scan of the
-/// seed EmbeddingBlocker with O(tables x bucket) probes.
+/// units), with O(tables x bucket) probes instead of a brute-force
+/// O(|L| x |R|) cosine scan.
 ///
 /// Determinism contract: hyperplanes are drawn from a seeded wym::Rng
 /// (deterministic in seed, table size and encoder dimension); signature
@@ -74,8 +74,8 @@ class EmbeddingLsh {
              util::ThreadPool* pool = nullptr);
 
   /// Pooled unit embedding of one row (empty vector for a token-less
-  /// row). Pooling follows the seed EmbeddingBlocker: tokens in
-  /// document order through EncodeTokens, then PoolTokens.
+  /// row): tokens in document order through EncodeTokens, then
+  /// PoolTokens.
   la::Vec PoolRow(const data::Entity& row,
                   const text::Tokenizer& tokenizer) const;
 

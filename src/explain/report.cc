@@ -97,32 +97,33 @@ std::string RenderExplanation(const core::Explanation& explanation,
 }
 
 std::string ExplanationToJson(const core::Explanation& explanation) {
-  std::ostringstream out;
-  out << "{\"prediction\":" << explanation.prediction
-      << ",\"probability\":"
-      << strings::FormatDouble(explanation.probability, 6)
-      << ",\"units\":[";
-  for (size_t u = 0; u < explanation.units.size(); ++u) {
-    const auto& eu = explanation.units[u];
-    if (u > 0) out << ',';
-    out << "{\"label\":\"" << obs::JsonEscape(eu.unit.Label()) << "\""
-        << ",\"paired\":" << (eu.unit.paired ? "true" : "false")
-        << ",\"phase\":\"" << PhaseName(eu.unit.phase) << "\""
-        << ",\"attribute\":" << eu.unit.AnchorAttribute();
+  std::string out;
+  obs::JsonWriter w(&out);
+  w.BeginObject();
+  w.Key("prediction").Int(explanation.prediction);
+  w.Key("probability").Fixed(explanation.probability, 6);
+  w.Key("units").BeginArray();
+  for (const core::ExplainedUnit& eu : explanation.units) {
+    w.BeginObject();
+    w.Key("label").String(eu.unit.Label());
+    w.Key("paired").Bool(eu.unit.paired);
+    w.Key("phase").String(PhaseName(eu.unit.phase));
+    w.Key("attribute").Uint(eu.unit.AnchorAttribute());
     if (eu.unit.paired) {
-      out << ",\"left\":\"" << obs::JsonEscape(eu.unit.left.token) << "\""
-          << ",\"right\":\"" << obs::JsonEscape(eu.unit.right.token) << "\"";
+      w.Key("left").String(eu.unit.left.token);
+      w.Key("right").String(eu.unit.right.token);
     } else {
-      out << ",\"token\":\"" << obs::JsonEscape(eu.unit.UnpairedToken().token)
-          << "\",\"side\":\""
-          << (eu.unit.unpaired_side == core::Side::kLeft ? "left" : "right")
-          << "\"";
+      w.Key("token").String(eu.unit.UnpairedToken().token);
+      w.Key("side").String(
+          eu.unit.unpaired_side == core::Side::kLeft ? "left" : "right");
     }
-    out << ",\"relevance\":" << strings::FormatDouble(eu.relevance, 6)
-        << ",\"impact\":" << strings::FormatDouble(eu.impact, 6) << "}";
+    w.Key("relevance").Fixed(eu.relevance, 6);
+    w.Key("impact").Fixed(eu.impact, 6);
+    w.EndObject();
   }
-  out << "]}";
-  return out.str();
+  w.EndArray();
+  w.EndObject();
+  return out;
 }
 
 }  // namespace wym::explain

@@ -43,27 +43,25 @@ const char* RenderRequestId(std::uint64_t sequence, char* buf,
   return buf;
 }
 
-std::size_t RenderRequestRecord(const RequestRecord& record, char* buf,
-                                std::size_t cap) {
+void RenderRequestRecord(const RequestRecord& record, std::string* out) {
   char id[RequestRecord::kIdBytes];
-  RenderRequestId(record.sequence, id, sizeof(id));
-  const int n = std::snprintf(
-      buf, cap,
-      "{\"schema\":\"wym-journal/v1\",\"seq\":%" PRIu64
-      ",\"id\":\"%s\",\"client_id\":\"%s\",\"op\":\"%s\",\"model\":\"%s\""
-      ",\"outcome\":\"%s\",\"admit_ns\":%" PRIu64 ",\"queue_ns\":%" PRIu64
-      ",\"run_ns\":%" PRIu64 ",\"total_ns\":%" PRIu64
-      ",\"pairs\":%u,\"batches\":%u,\"cached\":%u}",
-      record.sequence, id, record.client_id, record.op, record.model,
-      RequestOutcomeName(record.outcome), record.admit_ns, record.queue_ns,
-      record.run_ns, record.total_ns, record.pairs, record.batches,
-      record.cached);
-  if (n < 0) {
-    if (cap > 0) buf[0] = '\0';
-    return 0;
-  }
-  return static_cast<std::size_t>(n) < cap ? static_cast<std::size_t>(n)
-                                           : cap - 1;
+  JsonWriter w(out);
+  w.BeginObject();
+  w.Key("schema").String("wym-journal/v1");
+  w.Key("seq").Uint(record.sequence);
+  w.Key("id").String(RenderRequestId(record.sequence, id, sizeof(id)));
+  w.Key("client_id").String(record.client_id);
+  w.Key("op").String(record.op);
+  w.Key("model").String(record.model);
+  w.Key("outcome").String(RequestOutcomeName(record.outcome));
+  w.Key("admit_ns").Uint(record.admit_ns);
+  w.Key("queue_ns").Uint(record.queue_ns);
+  w.Key("run_ns").Uint(record.run_ns);
+  w.Key("total_ns").Uint(record.total_ns);
+  w.Key("pairs").Uint(record.pairs);
+  w.Key("batches").Uint(record.batches);
+  w.Key("cached").Uint(record.cached);
+  w.EndObject();
 }
 
 EventLog::EventLog(Options options) : options_(std::move(options)) {}
@@ -96,19 +94,18 @@ void EventLog::RotateLocked() {
 }
 
 void EventLog::Append(const RequestRecord& record) {
-  char line[kMaxJournalLine + 1];
-  const std::size_t n = RenderRequestRecord(record, line, sizeof(line) - 1);
-  line[n] = '\n';
-
   const std::lock_guard<std::mutex> lock(mu_);
   if (file_ == nullptr) return;
+  line_.clear();
+  RenderRequestRecord(record, &line_);
+  line_ += '\n';
   if (options_.max_bytes != 0 && active_bytes_ != 0 &&
-      active_bytes_ + n + 1 > options_.max_bytes) {
+      active_bytes_ + line_.size() > options_.max_bytes) {
     RotateLocked();
     if (file_ == nullptr) return;  // Rotation reopen failed; drop quietly.
   }
-  if (std::fwrite(line, 1, n + 1, file_) == n + 1) {
-    active_bytes_ += n + 1;
+  if (std::fwrite(line_.data(), 1, line_.size(), file_) == line_.size()) {
+    active_bytes_ += line_.size();
     ++lines_written_;
   }
   // Flushed per line so followers (wym_cli tail --follow, an operator's

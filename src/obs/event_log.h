@@ -18,10 +18,10 @@
 /// observability layer:
 ///
 ///  * No feedback: nothing here is read back by any computation.
-///  * Zero allocation on the append path: RequestRecord is a flat POD
-///    (fixed-size char fields, sanitized at copy time), the line is
-///    rendered with snprintf into a stack buffer, and the write is one
-///    fwrite under a mutex.
+///  * No allocation on the append path in steady state: RequestRecord
+///    is a flat POD (fixed-size char fields, sanitized at copy time),
+///    the line is rendered through obs::JsonWriter into a member buffer
+///    the journal reuses under its mutex, and the write is one fwrite.
 ///  * Deterministic serialization: RenderRequestRecord is a pure
 ///    function of the record with a fixed key order, so two runs with
 ///    the same injected clock produce byte-identical journals at any
@@ -83,20 +83,16 @@ struct RequestRecord {
 };
 
 /// Truncating copy into a fixed record field that also sanitizes for
-/// JSON: '"', '\\' and control bytes become '_', so the render path can
-/// emit the field without escaping (and thus without allocating).
+/// JSON: '"', '\\' and control bytes become '_', so a rendered field
+/// never holds an escape sequence and keeps the field's length.
 void SetRecordField(char* dst, std::size_t cap, const std::string& src);
 
-/// Upper bound on one rendered journal line (excluding the newline).
-inline constexpr std::size_t kMaxJournalLine = 512;
-
-/// Renders the record as one `wym-journal/v1` JSONL line (no trailing
-/// newline) into `buf`; returns the length. Fixed key order:
-/// schema, seq, id, client_id, op, model, outcome, admit_ns, queue_ns,
-/// run_ns, total_ns, pairs, batches, cached. Pure function of the
-/// record — the journal's determinism sink.
-std::size_t RenderRequestRecord(const RequestRecord& record, char* buf,
-                                std::size_t cap);
+/// Appends the record as one `wym-journal/v1` JSONL line (no trailing
+/// newline) to `*out`. Fixed key order: schema, seq, id, client_id, op,
+/// model, outcome, admit_ns, queue_ns, run_ns, total_ns, pairs,
+/// batches, cached. Pure function of the record — the journal's
+/// determinism sink.
+void RenderRequestRecord(const RequestRecord& record, std::string* out);
 
 /// The minted request id for a sequence number ("q00000042"); writes
 /// into `buf` (needs >= RequestRecord::kIdBytes) and returns it.
@@ -143,6 +139,8 @@ class EventLog {
   const Options options_;
   mutable std::mutex mu_;
   std::FILE* file_ = nullptr;
+  /// Append's render buffer, reused under mu_.
+  std::string line_;
   std::uint64_t active_bytes_ = 0;
   std::uint64_t lines_written_ = 0;
   std::uint64_t rotations_ = 0;

@@ -1,6 +1,8 @@
 #include "obs/json.h"
 
 #include <cctype>
+#include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <sstream>
@@ -280,6 +282,40 @@ class Parser {
   std::string error_ = "invalid JSON";
 };
 
+void AppendEscaped(std::string_view text, std::string* out) {
+  // Bytes that need no escape are copied in runs, not one at a time.
+  std::size_t run = 0;
+  for (std::size_t i = 0; i < text.size(); ++i) {
+    const unsigned char c = static_cast<unsigned char>(text[i]);
+    if (c >= 0x20 && c != '"' && c != '\\') continue;
+    out->append(text.data() + run, i - run);
+    run = i + 1;
+    switch (c) {
+      case '"':
+        *out += "\\\"";
+        break;
+      case '\\':
+        *out += "\\\\";
+        break;
+      case '\n':
+        *out += "\\n";
+        break;
+      case '\r':
+        *out += "\\r";
+        break;
+      case '\t':
+        *out += "\\t";
+        break;
+      default: {
+        char buffer[8];
+        std::snprintf(buffer, sizeof(buffer), "\\u%04x", c);
+        *out += buffer;
+      }
+    }
+  }
+  out->append(text.data() + run, text.size() - run);
+}
+
 }  // namespace
 
 bool ParseJson(const std::string& text, JsonValue* out, std::string* error) {
@@ -290,35 +326,67 @@ bool ParseJson(const std::string& text, JsonValue* out, std::string* error) {
 std::string JsonEscape(const std::string& text) {
   std::string out;
   out.reserve(text.size() + 2);
-  for (const char c : text) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buffer[8];
-          std::snprintf(buffer, sizeof(buffer), "\\u%04x",
-                        static_cast<unsigned char>(c));
-          out += buffer;
-        } else {
-          out += c;
-        }
+  AppendEscaped(text, &out);
+  return out;
+}
+
+void JsonWriter::Open(char bracket) {
+  if (need_comma_) *out_ += ',';
+  *out_ += bracket;
+  need_comma_ = false;
+}
+
+void JsonWriter::Close(char bracket) {
+  *out_ += bracket;
+  need_comma_ = true;
+}
+
+JsonWriter& JsonWriter::Key(std::string_view key) {
+  String(key);
+  *out_ += ':';
+  need_comma_ = false;
+  return *this;
+}
+
+void JsonWriter::String(std::string_view value) {
+  Open('"');
+  AppendEscaped(value, out_);
+  Close('"');
+}
+
+void JsonWriter::Uint(std::uint64_t value) {
+  char buffer[24];
+  const char* end = std::to_chars(buffer, buffer + sizeof(buffer), value).ptr;
+  Raw(std::string_view(buffer, end - buffer));
+}
+
+void JsonWriter::Int(std::int64_t value) {
+  char buffer[24];
+  const char* end = std::to_chars(buffer, buffer + sizeof(buffer), value).ptr;
+  Raw(std::string_view(buffer, end - buffer));
+}
+
+void JsonWriter::Double(double value) {
+  char buffer[32] = "0";
+  if (std::isfinite(value)) {
+    for (int precision = 9; precision <= 17; ++precision) {
+      std::snprintf(buffer, sizeof(buffer), "%.*g", precision, value);
+      if (std::strtod(buffer, nullptr) == value) break;
     }
   }
-  return out;
+  Raw(buffer);
+}
+
+void JsonWriter::Fixed(double value, int digits) {
+  char buffer[352];  // %f of DBL_MAX is 309 digits before the point.
+  std::snprintf(buffer, sizeof(buffer), "%.*f", digits, value);
+  Raw(buffer);
+}
+
+void JsonWriter::Raw(std::string_view json) {
+  if (need_comma_) *out_ += ',';
+  *out_ += json;
+  need_comma_ = true;
 }
 
 }  // namespace wym::obs

@@ -3,6 +3,8 @@
 #include <cstdlib>
 #include <sstream>
 
+#include "obs/json.h"
+
 namespace wym::obs {
 
 bool MetricsEnabled() {
@@ -181,50 +183,35 @@ std::string RenderMetrics(const MetricsSnapshot& snapshot) {
 }
 
 std::string MetricsToJson(const MetricsSnapshot& snapshot) {
-  // Metric names are restricted to [A-Za-z0-9._-] by convention, but
-  // escape the JSON-significant characters anyway so a stray name can
-  // never corrupt a report.
-  const auto escape = [](const std::string& s) {
-    std::string out;
-    out.reserve(s.size());
-    for (char c : s) {
-      if (c == '"' || c == '\\') {
-        out += '\\';
-        out += c;
-      } else if (static_cast<unsigned char>(c) < 0x20) {
-        out += ' ';
-      } else {
-        out += c;
-      }
-    }
-    return out;
-  };
-
-  std::ostringstream os;
-  os << "{\"counters\":{";
-  for (std::size_t i = 0; i < snapshot.counters.size(); ++i) {
-    if (i > 0) os << ",";
-    os << "\"" << escape(snapshot.counters[i].name)
-       << "\":" << snapshot.counters[i].value;
+  std::string out;
+  JsonWriter w(&out);
+  w.BeginObject();
+  w.Key("counters").BeginObject();
+  for (const MetricsSnapshot::CounterEntry& c : snapshot.counters) {
+    w.Key(c.name).Uint(c.value);
   }
-  os << "},\"gauges\":{";
-  for (std::size_t i = 0; i < snapshot.gauges.size(); ++i) {
-    if (i > 0) os << ",";
-    os << "\"" << escape(snapshot.gauges[i].name) << "\":{\"value\":"
-       << snapshot.gauges[i].value << ",\"max\":" << snapshot.gauges[i].max
-       << "}";
+  w.EndObject();
+  w.Key("gauges").BeginObject();
+  for (const MetricsSnapshot::GaugeEntry& g : snapshot.gauges) {
+    w.Key(g.name).BeginObject();
+    w.Key("value").Int(g.value);
+    w.Key("max").Int(g.max);
+    w.EndObject();
   }
-  os << "},\"histograms\":{";
-  for (std::size_t i = 0; i < snapshot.histograms.size(); ++i) {
-    if (i > 0) os << ",";
-    const HistogramSnapshot& h = snapshot.histograms[i].hist;
-    os << "\"" << escape(snapshot.histograms[i].name) << "\":{\"count\":"
-       << h.count << ",\"sum_ns\":" << h.sum << ",\"mean_ns\":" << h.Mean()
-       << ",\"p50_ns\":" << h.Percentile(0.5)
-       << ",\"p95_ns\":" << h.Percentile(0.95) << "}";
+  w.EndObject();
+  w.Key("histograms").BeginObject();
+  for (const MetricsSnapshot::HistogramEntry& h : snapshot.histograms) {
+    w.Key(h.name).BeginObject();
+    w.Key("count").Uint(h.hist.count);
+    w.Key("sum_ns").Uint(h.hist.sum);
+    w.Key("mean_ns").Double(h.hist.Mean());
+    w.Key("p50_ns").Double(h.hist.Percentile(0.5));
+    w.Key("p95_ns").Double(h.hist.Percentile(0.95));
+    w.EndObject();
   }
-  os << "}}";
-  return os.str();
+  w.EndObject();
+  w.EndObject();
+  return out;
 }
 
 }  // namespace wym::obs

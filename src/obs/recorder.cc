@@ -1,7 +1,6 @@
 #include "obs/recorder.h"
 
 #include <algorithm>
-#include <cinttypes>
 #include <cstdio>
 
 #include "obs/json.h"
@@ -59,20 +58,24 @@ std::string FlightRecorder::DumpJson(const std::string& reason) const {
   const std::vector<RequestRecord> records = SnapshotOrdered();
 
   std::string out;
-  out.reserve(64 + records.size() * kMaxJournalLine);
-  char buf[kMaxJournalLine + 1];
-  std::snprintf(buf, sizeof(buf),
-                "{\"schema\":\"wym-flight-recorder/v1\",\"reason\":\"%s\""
-                ",\"capacity\":%zu,\"recorded\":%" PRIu64 ",\"records\":[",
-                reason_buf, slots_.size(), recorded());
-  out += buf;
-  for (std::size_t i = 0; i < records.size(); ++i) {
-    if (i != 0) out += ',';
-    out += "\n  ";
-    const std::size_t n = RenderRequestRecord(records[i], buf, sizeof(buf));
-    out.append(buf, n);
+  JsonWriter w(&out);
+  w.BeginObject();
+  w.Key("schema").String("wym-flight-recorder/v1");
+  w.Key("reason").String(reason_buf);
+  w.Key("capacity").Uint(slots_.size());
+  w.Key("recorded").Uint(recorded());
+  w.Key("records").BeginArray();
+  // One indented record per line, so the dump reads like the journal.
+  std::string line;
+  for (const RequestRecord& record : records) {
+    line.assign("\n  ");
+    RenderRequestRecord(record, &line);
+    w.Raw(line);
   }
-  out += records.empty() ? "]}\n" : "\n]}\n";
+  if (!records.empty()) out += '\n';
+  w.EndArray();
+  w.EndObject();
+  out += '\n';
   return out;
 }
 

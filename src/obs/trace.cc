@@ -11,6 +11,7 @@
 #include <tuple>
 #include <vector>
 
+#include "obs/json.h"
 #include "util/stopwatch.h"
 
 namespace wym::obs {
@@ -139,21 +140,35 @@ bool StopTracingAndWrite(std::string* error) {
   }
   // Chrome trace_event JSON object format; "ts"/"dur" are microseconds
   // (fractional allowed), hence the /1000.0 from our nanosecond spans.
-  out << "{\"displayTimeUnit\":\"ns\",\"traceEvents\":[";
-  char buf[64];
-  for (std::size_t i = 0; i < events.size(); ++i) {
-    const TraceEvent& e = events[i];
-    if (i > 0) out << ",";
-    out << "\n{\"name\":\"" << e.name << "\",\"cat\":\"" << e.category
-        << "\",\"ph\":\"X\",\"pid\":1,\"tid\":" << e.tid << ",\"ts\":";
-    std::snprintf(buf, sizeof(buf), "%.3f",
-                  static_cast<double>(e.start_ns) / 1000.0);
-    out << buf << ",\"dur\":";
-    std::snprintf(buf, sizeof(buf), "%.3f",
-                  static_cast<double>(e.dur_ns) / 1000.0);
-    out << buf << "}";
+  // Streamed to the file one event at a time through two reused
+  // buffers, so writing never holds a second copy of the trace.
+  std::string text;
+  JsonWriter w(&text);
+  w.BeginObject();
+  w.Key("displayTimeUnit").String("ns");
+  w.Key("traceEvents").BeginArray();
+  std::string event;
+  for (const TraceEvent& e : events) {
+    event.assign("\n");
+    JsonWriter fields(&event);
+    fields.BeginObject();
+    fields.Key("name").String(e.name);
+    fields.Key("cat").String(e.category);
+    fields.Key("ph").String("X");
+    fields.Key("pid").Uint(1);
+    fields.Key("tid").Uint(e.tid);
+    fields.Key("ts").Fixed(static_cast<double>(e.start_ns) / 1000.0, 3);
+    fields.Key("dur").Fixed(static_cast<double>(e.dur_ns) / 1000.0, 3);
+    fields.EndObject();
+    w.Raw(event);
+    out << text;
+    text.clear();
   }
-  out << "\n]}\n";
+  text += '\n';
+  w.EndArray();
+  w.EndObject();
+  text += '\n';
+  out << text;
   out.flush();
   if (!out) {
     if (error != nullptr) *error = "write failed: " + path;

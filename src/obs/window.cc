@@ -1,7 +1,8 @@
 #include "obs/window.h"
 
-#include <cinttypes>
 #include <cstdio>
+
+#include "obs/json.h"
 
 namespace wym::obs {
 
@@ -13,22 +14,23 @@ std::uint64_t SaturatingDelta(std::uint64_t now, std::uint64_t then) {
 
 }  // namespace
 
-std::string RenderWindowStats(const WindowStats& stats) {
+void RenderWindowStats(const WindowStats& stats, JsonWriter* w) {
   // Fixed key order and fixed precision: the rendered artifact must be
   // byte-stable for a given stats value (it is diffed in tests and
   // validated in check.sh).
-  char buf[512];
-  std::snprintf(
-      buf, sizeof(buf),
-      "{\"window_ns\":%" PRIu64 ",\"requests\":%" PRIu64
-      ",\"qps\":%.3f,\"shed\":%" PRIu64 ",\"shed_rate\":%.6f"
-      ",\"cache_hits\":%" PRIu64 ",\"cache_misses\":%" PRIu64
-      ",\"cache_hit_rate\":%.6f,\"p50_ns\":%.1f,\"p95_ns\":%.1f"
-      ",\"p99_ns\":%.1f}",
-      stats.window_ns, stats.requests, stats.qps, stats.shed,
-      stats.shed_rate, stats.cache_hits, stats.cache_misses,
-      stats.cache_hit_rate, stats.p50_ns, stats.p95_ns, stats.p99_ns);
-  return buf;
+  w->BeginObject();
+  w->Key("window_ns").Uint(stats.window_ns);
+  w->Key("requests").Uint(stats.requests);
+  w->Key("qps").Fixed(stats.qps, 3);
+  w->Key("shed").Uint(stats.shed);
+  w->Key("shed_rate").Fixed(stats.shed_rate, 6);
+  w->Key("cache_hits").Uint(stats.cache_hits);
+  w->Key("cache_misses").Uint(stats.cache_misses);
+  w->Key("cache_hit_rate").Fixed(stats.cache_hit_rate, 6);
+  w->Key("p50_ns").Fixed(stats.p50_ns, 1);
+  w->Key("p95_ns").Fixed(stats.p95_ns, 1);
+  w->Key("p99_ns").Fixed(stats.p99_ns, 1);
+  w->EndObject();
 }
 
 WindowTracker::WindowTracker() : WindowTracker(Options()) {}
@@ -112,17 +114,17 @@ WindowStats WindowTracker::Delta(std::uint64_t window_ns) const {
 
 std::string WindowTracker::WindowsJson() const {
   const std::lock_guard<std::mutex> lock(mu_);
-  std::string out = "{";
-  for (std::size_t i = 0; i < options_.window_ns.size(); ++i) {
-    if (i != 0) out += ',';
+  std::string out;
+  JsonWriter w(&out);
+  w.BeginObject();
+  for (const std::uint64_t window_ns : options_.window_ns) {
     char label[32];
-    std::snprintf(label, sizeof(label), "\"%llus\":",
-                  static_cast<unsigned long long>(options_.window_ns[i] /
-                                                  1000000000ull));
-    out += label;
-    out += RenderWindowStats(DeltaLocked(options_.window_ns[i]));
+    std::snprintf(label, sizeof(label), "%llus",
+                  static_cast<unsigned long long>(window_ns / 1000000000ull));
+    w.Key(label);
+    RenderWindowStats(DeltaLocked(window_ns), &w);
   }
-  out += '}';
+  w.EndObject();
   return out;
 }
 
@@ -134,14 +136,15 @@ std::string WindowTracker::TelemetryJson() const {
     if (size_ > 0) now_ns = AtLocked(size_ - 1).now_ns;
     n = size_;
   }
-  char head[128];
-  std::snprintf(head, sizeof(head),
-                "{\"schema\":\"wym-telemetry/v1\",\"now_ns\":%" PRIu64
-                ",\"samples\":%zu,\"windows\":",
-                now_ns, n);
-  std::string out = head;
-  out += WindowsJson();
-  out += "}\n";
+  std::string out;
+  JsonWriter w(&out);
+  w.BeginObject();
+  w.Key("schema").String("wym-telemetry/v1");
+  w.Key("now_ns").Uint(now_ns);
+  w.Key("samples").Uint(n);
+  w.Key("windows").Raw(WindowsJson());
+  w.EndObject();
+  out += '\n';
   return out;
 }
 

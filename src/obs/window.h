@@ -49,11 +49,14 @@ struct WindowStats {
   double p99_ns = 0.0;
 };
 
+class JsonWriter;
+
 /// Fixed-key-order JSON object for one window:
 /// {"window_ns":..,"requests":..,"qps":..,"shed":..,"shed_rate":..,
 ///  "cache_hits":..,"cache_misses":..,"cache_hit_rate":..,
-///  "p50_ns":..,"p95_ns":..,"p99_ns":..}. Pure function of `stats`.
-std::string RenderWindowStats(const WindowStats& stats);
+///  "p50_ns":..,"p95_ns":..,"p99_ns":..}, written as the next value of
+/// `*w`. Pure function of `stats`.
+void RenderWindowStats(const WindowStats& stats, JsonWriter* w);
 
 class WindowTracker {
  public:

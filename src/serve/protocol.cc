@@ -1,30 +1,10 @@
 #include "serve/protocol.h"
 
-#include <cmath>
-#include <cstdio>
-#include <cstdlib>
-
 #include "obs/json.h"
 
 namespace wym::serve {
 
 namespace {
-
-/// Shortest %g rendering that round-trips a double exactly (the same
-/// discipline the obs bench reports use): try increasing precision
-/// until strtod gives back the identical value. Non-finite values have
-/// no JSON spelling; the pipeline's quarantine path guarantees none,
-/// and this renders any that slip through as 0 rather than emitting
-/// invalid JSON.
-std::string RenderDouble(double value) {
-  if (!std::isfinite(value)) return "0";
-  char buffer[64];
-  for (int precision = 9; precision <= 17; ++precision) {
-    std::snprintf(buffer, sizeof(buffer), "%.*g", precision, value);
-    if (std::strtod(buffer, nullptr) == value) break;
-  }
-  return buffer;
-}
 
 /// Status::Code <-> wire name. Mirrors CodeName in util/status.cc; an
 /// unknown wire name maps to kIoError (fail closed, still typed).
@@ -152,66 +132,52 @@ Status ParsePair(const obs::JsonValue& object, data::EmRecord* out) {
 /// Re-renders a parsed JSON subtree (client side: recovers the
 /// `payload` / `explanation` objects of a response as strings). Member
 /// order is preserved by the parser, and numbers re-render through
-/// RenderDouble, so server-rendered JSON round-trips byte-identically.
-void AppendJsonValue(const obs::JsonValue& value, std::string* out) {
+/// JsonWriter::Double, so server-rendered JSON round-trips
+/// byte-identically.
+void AppendJsonValue(const obs::JsonValue& value, obs::JsonWriter* w) {
   switch (value.kind) {
     case obs::JsonValue::Kind::kNull:
-      *out += "null";
+      w->Raw("null");
       return;
     case obs::JsonValue::Kind::kBool:
-      *out += value.boolean ? "true" : "false";
+      w->Bool(value.boolean);
       return;
     case obs::JsonValue::Kind::kNumber:
-      *out += RenderDouble(value.number);
+      w->Double(value.number);
       return;
     case obs::JsonValue::Kind::kString:
-      *out += EscapeJsonString(value.string);
+      w->String(value.string);
       return;
-    case obs::JsonValue::Kind::kArray: {
-      *out += '[';
-      for (size_t i = 0; i < value.array.size(); ++i) {
-        if (i != 0) *out += ',';
-        AppendJsonValue(value.array[i], out);
+    case obs::JsonValue::Kind::kArray:
+      w->BeginArray();
+      for (const obs::JsonValue& element : value.array) {
+        AppendJsonValue(element, w);
       }
-      *out += ']';
+      w->EndArray();
       return;
-    }
-    case obs::JsonValue::Kind::kObject: {
-      *out += '{';
-      for (size_t i = 0; i < value.object.size(); ++i) {
-        if (i != 0) *out += ',';
-        *out += EscapeJsonString(value.object[i].first);
-        *out += ':';
-        AppendJsonValue(value.object[i].second, out);
+    case obs::JsonValue::Kind::kObject:
+      w->BeginObject();
+      for (const auto& [key, member] : value.object) {
+        w->Key(key);
+        AppendJsonValue(member, w);
       }
-      *out += '}';
+      w->EndObject();
       return;
-    }
   }
 }
 
-void AppendPairJson(const data::EmRecord& pair, std::string* out) {
-  *out += "{\"left\":[";
-  for (size_t i = 0; i < pair.left.values.size(); ++i) {
-    if (i != 0) *out += ',';
-    *out += EscapeJsonString(pair.left.values[i]);
-  }
-  *out += "],\"right\":[";
-  for (size_t i = 0; i < pair.right.values.size(); ++i) {
-    if (i != 0) *out += ',';
-    *out += EscapeJsonString(pair.right.values[i]);
-  }
-  *out += "]}";
+void AppendPairJson(const data::EmRecord& pair, obs::JsonWriter* w) {
+  w->BeginObject();
+  w->Key("left").BeginArray();
+  for (const std::string& value : pair.left.values) w->String(value);
+  w->EndArray();
+  w->Key("right").BeginArray();
+  for (const std::string& value : pair.right.values) w->String(value);
+  w->EndArray();
+  w->EndObject();
 }
 
 }  // namespace
-
-std::string EscapeJsonString(const std::string& text) {
-  std::string out = "\"";
-  out += obs::JsonEscape(text);
-  out += '"';
-  return out;
-}
 
 const char* OpName(Request::Op op) {
   for (const OpNameEntry& entry : kOpNames) {
@@ -286,80 +252,63 @@ Result<Request> ParseRequest(const std::string& line) {
 }
 
 std::string RenderRequest(const Request& request) {
-  std::string out = "{\"op\":";
-  out += EscapeJsonString(OpName(request.op));
-  if (!request.id.empty()) out += ",\"id\":" + EscapeJsonString(request.id);
-  if (!request.model.empty()) {
-    out += ",\"model\":" + EscapeJsonString(request.model);
-  }
-  if (request.explain) out += ",\"explain\":true";
-  if (request.deadline_ms != 0) {
-    out += ",\"deadline_ms\":" + std::to_string(request.deadline_ms);
-  }
-  if (!request.name.empty()) {
-    out += ",\"name\":" + EscapeJsonString(request.name);
-  }
-  if (!request.path.empty()) {
-    out += ",\"path\":" + EscapeJsonString(request.path);
-  }
-  if (request.sleep_ms != 0) {
-    out += ",\"sleep_ms\":" + std::to_string(request.sleep_ms);
-  }
+  std::string out;
+  obs::JsonWriter w(&out);
+  w.BeginObject();
+  w.Key("op").String(OpName(request.op));
+  if (!request.id.empty()) w.Key("id").String(request.id);
+  if (!request.model.empty()) w.Key("model").String(request.model);
+  if (request.explain) w.Key("explain").Bool(true);
+  if (request.deadline_ms != 0) w.Key("deadline_ms").Uint(request.deadline_ms);
+  if (!request.name.empty()) w.Key("name").String(request.name);
+  if (!request.path.empty()) w.Key("path").String(request.path);
+  if (request.sleep_ms != 0) w.Key("sleep_ms").Uint(request.sleep_ms);
   if (!request.pairs.empty()) {
-    out += ",\"pairs\":[";
-    for (size_t i = 0; i < request.pairs.size(); ++i) {
-      if (i != 0) out += ',';
-      AppendPairJson(request.pairs[i], &out);
-    }
-    out += ']';
+    w.Key("pairs").BeginArray();
+    for (const data::EmRecord& pair : request.pairs) AppendPairJson(pair, &w);
+    w.EndArray();
   }
-  out += '}';
+  w.EndObject();
   return out;
 }
 
 std::string RenderResponse(const Response& response) {
-  std::string out = "{\"proto\":";
-  out += EscapeJsonString(kProtocolName);
-  if (!response.id.empty()) {
-    out += ",\"id\":" + EscapeJsonString(response.id);
-  }
-  if (!response.request_id.empty()) {
-    out += ",\"req\":" + EscapeJsonString(response.request_id);
-  }
-  if (!response.op.empty()) {
-    out += ",\"op\":" + EscapeJsonString(response.op);
-  }
+  std::string out;
+  obs::JsonWriter w(&out);
+  w.BeginObject();
+  w.Key("proto").String(kProtocolName);
+  if (!response.id.empty()) w.Key("id").String(response.id);
+  if (!response.request_id.empty()) w.Key("req").String(response.request_id);
+  if (!response.op.empty()) w.Key("op").String(response.op);
   if (!response.status.ok()) {
-    out += ",\"ok\":false,\"error\":{\"code\":";
-    out += EscapeJsonString(WireCodeName(response.status.code()));
-    out += ",\"message\":";
-    out += EscapeJsonString(response.status.message());
-    out += "}}";
+    w.Key("ok").Bool(false);
+    w.Key("error").BeginObject();
+    w.Key("code").String(WireCodeName(response.status.code()));
+    w.Key("message").String(response.status.message());
+    w.EndObject();
+    w.EndObject();
     return out;
   }
-  out += ",\"ok\":true";
-  if (!response.model.empty()) {
-    out += ",\"model\":" + EscapeJsonString(response.model);
-  }
+  w.Key("ok").Bool(true);
+  if (!response.model.empty()) w.Key("model").String(response.model);
   if (!response.results.empty()) {
-    out += ",\"results\":[";
-    for (size_t i = 0; i < response.results.size(); ++i) {
-      const PairResult& result = response.results[i];
-      if (i != 0) out += ',';
-      out += "{\"prediction\":" + std::to_string(result.prediction);
-      out += ",\"probability\":" + RenderDouble(result.probability);
-      out += std::string(",\"cached\":") + (result.cached ? "true" : "false");
+    w.Key("results").BeginArray();
+    for (const PairResult& result : response.results) {
+      w.BeginObject();
+      w.Key("prediction").Int(result.prediction);
+      w.Key("probability").Double(result.probability);
+      w.Key("cached").Bool(result.cached);
       if (!result.explanation_json.empty()) {
-        out += ",\"explanation\":" + result.explanation_json;
+        w.Key("explanation").Raw(result.explanation_json);
       }
-      out += '}';
+      w.EndObject();
     }
-    out += ']';
+    w.EndArray();
   }
   if (!response.payload_json.empty()) {
-    out += ",\"payload\":" + response.payload_json;
+    w.Key("payload").Raw(response.payload_json);
   }
-  out += '}';
+  w.EndObject();
   return out;
 }
 
@@ -406,14 +355,16 @@ Result<Response> ParseResponse(const std::string& line) {
       (void)GetBool(entry, "cached", &result.cached);
       const obs::JsonValue* explanation = entry.Find("explanation");
       if (explanation != nullptr) {
-        AppendJsonValue(*explanation, &result.explanation_json);
+        obs::JsonWriter w(&result.explanation_json);
+        AppendJsonValue(*explanation, &w);
       }
       response.results.push_back(result);
     }
   }
   const obs::JsonValue* payload = root.Find("payload");
   if (payload != nullptr) {
-    AppendJsonValue(*payload, &response.payload_json);
+    obs::JsonWriter w(&response.payload_json);
+    AppendJsonValue(*payload, &w);
   }
   return response;
 }

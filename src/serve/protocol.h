@@ -125,10 +125,6 @@ std::string RenderResponse(const Response& response);
 /// parses as IoError so a confused client still fails closed.
 Result<Response> ParseResponse(const std::string& line);
 
-/// `text` as a quoted JSON string literal (obs::JsonEscape inside the
-/// quotes), shared by the render functions.
-std::string EscapeJsonString(const std::string& text);
-
 }  // namespace wym::serve
 
 #endif  // WYM_SERVE_PROTOCOL_H_

@@ -6,6 +6,7 @@
 #include <utility>
 
 #include "explain/report.h"
+#include "obs/json.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
@@ -100,6 +101,11 @@ MatcherService::MatcherService(ModelRegistry* registry,
       pool_(pool),
       cache_(options_.cache_entries) {}
 
+MatcherService::~MatcherService() {
+  std::unique_lock<std::mutex> lock(mu_);
+  idle_cv_.wait(lock, [this] { return pending_tasks_ == 0; });
+}
+
 uint64_t MatcherService::Now() const {
   return options_.now_ns ? options_.now_ns() : obs::NowNanos();
 }
@@ -185,11 +191,14 @@ Status MatcherService::Admit(Request request, Responder responder) {
   Response inline_response;
   bool answered_inline = false;
   switch (request.op) {
-    case Request::Op::kPing:
-      inline_response.payload_json = "{\"protocol\":\"" +
-                                     std::string(kProtocolName) + "\"}";
+    case Request::Op::kPing: {
+      obs::JsonWriter w(&inline_response.payload_json);
+      w.BeginObject();
+      w.Key("protocol").String(kProtocolName);
+      w.EndObject();
       answered_inline = true;
       break;
+    }
     case Request::Op::kStats:
       inline_response.payload_json = StatsJson();
       answered_inline = true;
@@ -198,11 +207,15 @@ Status MatcherService::Admit(Request request, Responder responder) {
       inline_response.payload_json = ModelListJson();
       answered_inline = true;
       break;
-    case Request::Op::kShutdown:
+    case Request::Op::kShutdown: {
       BeginDrain();
-      inline_response.payload_json = "{\"draining\":true}";
+      obs::JsonWriter w(&inline_response.payload_json);
+      w.BeginObject();
+      w.Key("draining").Bool(true);
+      w.EndObject();
       answered_inline = true;
       break;
+    }
     default:
       break;
   }
@@ -256,6 +269,7 @@ Status MatcherService::Admit(Request request, Responder responder) {
     } else {
       queue_.push_back(state);
       QueueDepthGauge().Set(static_cast<int64_t>(queue_.size()));
+      if (options_.auto_dispatch) ++pending_tasks_;
     }
   }
   if (!admit_status.ok()) {
@@ -274,7 +288,15 @@ Status MatcherService::Admit(Request request, Responder responder) {
   if (options_.auto_dispatch) {
     util::ThreadPool& pool =
         pool_ != nullptr ? *pool_ : util::ThreadPool::Global();
-    pool.Submit([this] { ProcessOne(); });
+    pool.Submit([this] {
+      ProcessOne();
+      // The task's last touch of the service. Notifying under the lock
+      // keeps the destructor, which waits on this count, from freeing
+      // the condition variable before the notify returns.
+      std::lock_guard<std::mutex> lock(mu_);
+      --pending_tasks_;
+      idle_cv_.notify_all();
+    });
   }
   return Status::Ok();
 }
@@ -543,20 +565,21 @@ Response MatcherService::ExecuteDebugSleep(const RequestState& state) {
   Response response;
   response.id = request.id;
   response.op = OpName(request.op);
-  response.payload_json =
-      "{\"slept_ms\":" + std::to_string(request.sleep_ms) + "}";
+  obs::JsonWriter w(&response.payload_json);
+  w.BeginObject();
+  w.Key("slept_ms").Uint(request.sleep_ms);
+  w.EndObject();
   return response;
 }
 
 std::string MatcherService::ModelListJson() const {
-  std::string out = "{\"models\":[";
-  bool first = true;
-  for (const std::string& name : registry_->Names()) {
-    if (!first) out += ',';
-    first = false;
-    out += EscapeJsonString(name);
-  }
-  out += "]}";
+  std::string out;
+  obs::JsonWriter w(&out);
+  w.BeginObject();
+  w.Key("models").BeginArray();
+  for (const std::string& name : registry_->Names()) w.String(name);
+  w.EndArray();
+  w.EndObject();
   return out;
 }
 
@@ -570,44 +593,42 @@ std::string MatcherService::StatsJson() const {
     executing = in_flight_.size();
     draining = draining_;
   }
-  std::string out = "{";
-  out += "\"queue_depth\":" + std::to_string(depth);
-  out += ",\"queue_bound\":" + std::to_string(options_.queue_bound);
-  out += ",\"in_flight\":" + std::to_string(executing);
-  out += std::string(",\"draining\":") + (draining ? "true" : "false");
-  out += ",\"cache\":{\"entries\":" + std::to_string(cache_.size()) +
-         ",\"capacity\":" + std::to_string(cache_.capacity()) +
-         ",\"evictions\":" + std::to_string(cache_.evictions()) + "}";
-  out += ",\"models\":[";
-  bool first = true;
-  for (const std::string& name : registry_->Names()) {
-    if (!first) out += ',';
-    first = false;
-    out += EscapeJsonString(name);
-  }
-  out += "]";
+  std::string out;
+  obs::JsonWriter w(&out);
+  w.BeginObject();
+  w.Key("queue_depth").Uint(depth);
+  w.Key("queue_bound").Uint(options_.queue_bound);
+  w.Key("in_flight").Uint(executing);
+  w.Key("draining").Bool(draining);
+  w.Key("cache").BeginObject();
+  w.Key("entries").Uint(cache_.size());
+  w.Key("capacity").Uint(cache_.capacity());
+  w.Key("evictions").Uint(cache_.evictions());
+  w.EndObject();
+  w.Key("models").BeginArray();
+  for (const std::string& name : registry_->Names()) w.String(name);
+  w.EndArray();
   // Telemetry sections appear only when the matching sink is
   // configured, keeping the payload identical to pre-telemetry serving
   // when everything is off.
   if (options_.windows != nullptr) {
-    out += ",\"windows\":" + options_.windows->WindowsJson();
+    w.Key("windows").Raw(options_.windows->WindowsJson());
   }
   if (options_.journal != nullptr) {
-    out += ",\"journal\":{\"path\":" +
-           EscapeJsonString(options_.journal->path()) +
-           ",\"lines\":" + std::to_string(options_.journal->lines_written()) +
-           ",\"rotations\":" +
-           std::to_string(options_.journal->rotations()) + "}";
+    w.Key("journal").BeginObject();
+    w.Key("path").String(options_.journal->path());
+    w.Key("lines").Uint(options_.journal->lines_written());
+    w.Key("rotations").Uint(options_.journal->rotations());
+    w.EndObject();
   }
   if (options_.recorder != nullptr) {
-    out += ",\"recorder\":{\"capacity\":" +
-           std::to_string(options_.recorder->capacity()) +
-           ",\"recorded\":" +
-           std::to_string(options_.recorder->recorded()) + "}";
+    w.Key("recorder").BeginObject();
+    w.Key("capacity").Uint(options_.recorder->capacity());
+    w.Key("recorded").Uint(options_.recorder->recorded());
+    w.EndObject();
   }
-  out += ",\"metrics\":" +
-         obs::MetricsToJson(obs::Registry::Global().Snapshot());
-  out += "}";
+  w.Key("metrics").Raw(obs::MetricsToJson(obs::Registry::Global().Snapshot()));
+  w.EndObject();
   return out;
 }
 

@@ -95,6 +95,9 @@ class MatcherService {
   /// pool).
   MatcherService(ModelRegistry* registry, ServiceOptions options,
                  util::ThreadPool* pool = nullptr);
+  /// Waits for every auto-dispatched task to finish: a task uses the
+  /// service (clock, journal) after it has answered its client.
+  ~MatcherService();
 
   MatcherService(const MatcherService&) = delete;
   MatcherService& operator=(const MatcherService&) = delete;
@@ -213,6 +216,8 @@ class MatcherService {
   /// Dequeued, still executing (watchdog scan set).
   std::vector<StatePtr> in_flight_;
   bool draining_ = false;
+  /// Auto-dispatched ProcessOne tasks submitted and not yet finished.
+  size_t pending_tasks_ = 0;
 };
 
 }  // namespace wym::serve

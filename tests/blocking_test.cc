@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include "blocking/blocker.h"
+#include "blocking/candidate_stream.h"
+#include "blocking/lsh.h"
 #include "data/catalog.h"
 #include "data/corruption.h"
 #include "util/random.h"
@@ -19,13 +21,25 @@ EntityTable MakeTable(std::vector<std::vector<std::string>> rows) {
   return table;
 }
 
+/// Token-stage candidates only: no LSH stage and no exact-duplicate
+/// short-circuit, so every pair is Jaccard-scored and capped per row.
+std::vector<CandidatePair> TokenCandidates(
+    const EntityTable& left, const EntityTable& right,
+    const TokenBlockerOptions& token = {}) {
+  CandidateStreamOptions options;
+  options.token = token;
+  options.encoder = nullptr;
+  options.exact_short_circuit = false;
+  CandidateStream stream(left, right, options);
+  return stream.Drain();
+}
+
 TEST(TokenBlockerTest, FindsOverlappingRows) {
   const EntityTable left = MakeTable({{"digital camera x100", "sony"},
                                       {"wireless router r7", "netgear"}});
   const EntityTable right = MakeTable({{"camera x100 digital", "sony"},
                                        {"oak dining table", "ikea"}});
-  const TokenBlocker blocker;
-  const auto candidates = blocker.Candidates(left, right);
+  const auto candidates = TokenCandidates(left, right);
   ASSERT_EQ(candidates.size(), 1u);
   EXPECT_EQ(candidates[0].left_row, 0u);
   EXPECT_EQ(candidates[0].right_row, 0u);
@@ -37,11 +51,9 @@ TEST(TokenBlockerTest, MinJaccardFilters) {
   const EntityTable right = MakeTable({{"alpha zz yy ww vv uu", "q"}});
   TokenBlockerOptions options;
   options.min_jaccard = 0.5;
-  const TokenBlocker strict(options);
-  EXPECT_TRUE(strict.Candidates(left, right).empty());
+  EXPECT_TRUE(TokenCandidates(left, right, options).empty());
   options.min_jaccard = 0.05;
-  const TokenBlocker loose(options);
-  EXPECT_EQ(loose.Candidates(left, right).size(), 1u);
+  EXPECT_EQ(TokenCandidates(left, right, options).size(), 1u);
 }
 
 TEST(TokenBlockerTest, CapsCandidatesPerRow) {
@@ -56,8 +68,7 @@ TEST(TokenBlockerTest, CapsCandidatesPerRow) {
   TokenBlockerOptions options;
   options.max_candidates_per_row = 5;
   options.max_token_frequency = 1.0;  // Disable stop-token pruning.
-  const TokenBlocker blocker(options);
-  EXPECT_EQ(blocker.Candidates(left, right).size(), 5u);
+  EXPECT_EQ(TokenCandidates(left, right, options).size(), 5u);
 }
 
 TEST(EmbeddingBlockerTest, RecoversTypoedRow) {
@@ -70,29 +81,16 @@ TEST(EmbeddingBlockerTest, RecoversTypoedRow) {
   const EntityTable left = MakeTable({{"dgital camer x100", "sony"}});
   const EntityTable right = MakeTable({{"digital camera x100", "sony"},
                                        {"completely unrelated row", "zzz"}});
-  EmbeddingBlockerOptions options;
+  EmbeddingLshOptions options;
   options.k = 1;
   options.min_cosine = 0.3;
-  const EmbeddingBlocker blocker(&encoder, options);
-  const auto candidates = blocker.Candidates(left, right);
+  EmbeddingLsh lsh(&encoder, options);
+  const text::Tokenizer tokenizer;
+  lsh.Build(right, tokenizer);
+  std::vector<CandidatePair> candidates;
+  lsh.Probe(0, lsh.PoolRow(left.rows[0], tokenizer), &candidates);
   ASSERT_EQ(candidates.size(), 1u);
   EXPECT_EQ(candidates[0].right_row, 0u);
-}
-
-TEST(MergeCandidatesTest, UnionKeepsBestScore) {
-  const std::vector<CandidatePair> a = {{0, 0, 0.5}, {0, 1, 0.4}};
-  const std::vector<CandidatePair> b = {{0, 0, 0.7}, {1, 1, 0.9}};
-  const auto merged = MergeCandidates(a, b);
-  ASSERT_EQ(merged.size(), 3u);
-  // (0,0) keeps the higher score.
-  bool found = false;
-  for (const auto& pair : merged) {
-    if (pair.left_row == 0 && pair.right_row == 0) {
-      EXPECT_DOUBLE_EQ(pair.score, 0.7);
-      found = true;
-    }
-  }
-  EXPECT_TRUE(found);
 }
 
 TEST(BuildCandidateDatasetTest, LabelsFromIdentity) {
@@ -137,8 +135,7 @@ TEST(BlockingIntegrationTest, HighRecallOnCorruptedCatalog) {
     b.rows.push_back(data::CorruptEntity(base, schema, profile, &rng));
     ids_b.push_back(i);
   }
-  const TokenBlocker blocker;
-  const auto candidates = blocker.Candidates(a, b);
+  const auto candidates = TokenCandidates(a, b);
   EXPECT_GT(BlockingRecall(candidates, ids_a, ids_b), 0.9);
   // And it prunes: far fewer candidates than the cross product.
   EXPECT_LT(candidates.size(), a.size() * b.size() / 5);

@@ -75,7 +75,7 @@ std::set<std::string> RowTokenSet(const data::Entity& row,
   return tokens;
 }
 
-/// The seed TokenBlocker, reimplemented naively: exhaustive probe over
+/// The seed token blocker, reimplemented naively: exhaustive probe over
 /// full posting lists, no prefix filter, no early exit. The optimized
 /// path must reproduce this list exactly.
 std::vector<CandidatePair> ReferenceTokenCandidates(
@@ -249,8 +249,11 @@ TEST(CandidateStreamTest, MatchesExhaustiveReferenceBlocker) {
   for (const double min_jaccard : {0.15, 0.4}) {
     TokenBlockerOptions options;
     options.min_jaccard = min_jaccard;
-    const TokenBlocker blocker(options);
-    ExpectSameCandidates(blocker.Candidates(pair.left, pair.right),
+    CandidateStreamOptions stream_options;
+    stream_options.token = options;
+    stream_options.exact_short_circuit = false;
+    CandidateStream stream(pair.left, pair.right, stream_options);
+    ExpectSameCandidates(stream.Drain(),
                          ReferenceTokenCandidates(pair.left, pair.right,
                                                   options));
   }

@@ -32,6 +32,11 @@ test -s "$WORK/model.wym"
 "$CLI" explain --data "$WORK/data.csv" --record 2 --model "$WORK/model.wym" \
   --json | grep -q '"units"'
 
+# WYM_TRACE: the span trace written at exit is a valid trace_event file.
+WYM_TRACE="$WORK/trace.json" "$CLI" explain --data "$WORK/data.csv" \
+  --record 2 --model "$WORK/model.wym" > /dev/null
+"$CLI" validate-report --file "$WORK/trace.json" > /dev/null
+
 "$CLI" stats --data "$WORK/data.csv" --model "$WORK/model.wym" \
   | grep -q "global attribution"
 

@@ -3,6 +3,7 @@
 // report validators — plus the non-perturbation contract: tracing a
 // run must not change a single output byte.
 
+#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <limits>
@@ -162,6 +163,10 @@ TEST(RegistryTest, MetricsToJsonRoundTripsThroughOwnParser) {
   registry.GetCounter("test.json.counter").Add(9);
   registry.GetGauge("test.json.gauge").Set(4);
   registry.GetHistogram("test.json.hist").Record(1000);
+  // A control byte and a quote in a name are escaped, not mangled.
+  const std::string odd_name = "a\x01" "b\"c";
+  registry.GetCounter(odd_name).Reset();
+  registry.GetCounter(odd_name).Add(2);
 
   const std::string json = obs::MetricsToJson(registry.Snapshot());
   obs::JsonValue root;
@@ -174,6 +179,9 @@ TEST(RegistryTest, MetricsToJsonRoundTripsThroughOwnParser) {
   const obs::JsonValue* counter = counters->Find("test.json.counter");
   ASSERT_NE(counter, nullptr);
   EXPECT_EQ(counter->number, 9.0);
+  const obs::JsonValue* odd = counters->Find(odd_name);
+  ASSERT_NE(odd, nullptr) << json;
+  EXPECT_EQ(odd->number, 2.0);
 
   const obs::JsonValue* hists = root.Find("histograms");
   ASSERT_NE(hists, nullptr);
@@ -259,6 +267,35 @@ TEST(JsonEscapeTest, CoversControlAndQuoteCharacters) {
       "{\"k\": \"" + obs::JsonEscape("quote\" slash\\ nl\n") + "\"}";
   ASSERT_TRUE(obs::ParseJson(text, &value, &error)) << error;
   EXPECT_EQ(value.Find("k")->string, "quote\" slash\\ nl\n");
+}
+
+TEST(JsonWriterTest, PlacesCommasAndSpellsEveryValueKind) {
+  std::string out = "prefix:";
+  obs::JsonWriter w(&out);
+  w.BeginObject();
+  w.Key("a\"b").BeginArray();
+  w.Uint(18446744073709551615ull);
+  w.Int(-7);
+  w.Bool(false);
+  w.Double(0.1);
+  w.Double(1e300);
+  w.Double(std::numeric_limits<double>::quiet_NaN());
+  w.Double(-std::numeric_limits<double>::infinity());
+  w.Fixed(2.5, 2);
+  w.Fixed(-0.0004, 3);
+  w.BeginObject();
+  w.EndObject();
+  w.BeginArray();
+  w.EndArray();
+  w.Raw("\n {\"x\":null}");
+  w.String("tab\there");
+  w.EndArray();
+  w.Key("n").Int(0);
+  w.EndObject();
+  EXPECT_EQ(out,
+            "prefix:{\"a\\\"b\":[18446744073709551615,-7,false,0.1,"
+            "1e+300,0,0,2.50,-0.000,{},[],\n {\"x\":null},"
+            "\"tab\\there\"],\"n\":0}");
 }
 
 TEST(TraceTest, NowNanosIsMonotonic) {
@@ -580,10 +617,8 @@ obs::RequestRecord MakeRecord(std::uint64_t sequence) {
 }
 
 TEST(EventLogTest, RenderRequestRecordHasFixedKeyOrder) {
-  char buf[obs::kMaxJournalLine];
-  const std::size_t n =
-      obs::RenderRequestRecord(MakeRecord(42), buf, sizeof(buf));
-  const std::string line(buf, n);
+  std::string line;
+  obs::RenderRequestRecord(MakeRecord(42), &line);
   EXPECT_EQ(line,
             "{\"schema\":\"wym-journal/v1\",\"seq\":42,\"id\":\"q00000042\","
             "\"client_id\":\"cli\",\"op\":\"predict\",\"model\":\"default#1\""
@@ -605,14 +640,13 @@ TEST(EventLogTest, ValidateJournalJsonRejectsBadJournals) {
   EXPECT_FALSE(obs::ValidateJournalJson("not json\n", &error));
   EXPECT_FALSE(obs::ValidateJournalJson("{\"schema\":\"other\"}\n", &error));
 
-  char buf[obs::kMaxJournalLine];
-  std::size_t n = obs::RenderRequestRecord(MakeRecord(1), buf, sizeof(buf));
-  const std::string line(buf, n);
+  std::string line;
+  obs::RenderRequestRecord(MakeRecord(1), &line);
   // Duplicate seq across lines is the corruption the validator exists
   // to catch; distinct seqs in any order are fine.
   EXPECT_FALSE(obs::ValidateJournalJson(line + "\n" + line + "\n", &error));
-  n = obs::RenderRequestRecord(MakeRecord(2), buf, sizeof(buf));
-  const std::string other(buf, n);
+  std::string other;
+  obs::RenderRequestRecord(MakeRecord(2), &other);
   EXPECT_TRUE(obs::ValidateJournalJson(other + "\n" + line + "\n", &error))
       << error;
 }

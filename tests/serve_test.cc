@@ -19,6 +19,8 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -159,7 +161,7 @@ TEST(ProtocolTest, ResponseResultsAndPayloadRoundTrip) {
   const Response& back = parsed.value();
   ASSERT_EQ(back.results.size(), 1u);
   EXPECT_EQ(back.results[0].prediction, 1);
-  // RenderDouble guarantees exact round-trip.
+  // JsonWriter::Double guarantees exact round-trip.
   EXPECT_EQ(back.results[0].probability, result.probability);
   EXPECT_TRUE(back.results[0].cached);
   EXPECT_EQ(back.results[0].explanation_json, result.explanation_json);
@@ -700,6 +702,48 @@ TEST_F(ServiceTest, DrainShedsNewWorkAndFinishesBacklog) {
     if (response.status.ok()) ++ok;
   }
   EXPECT_EQ(ok, 4u);  // 3 predictions + stats.
+}
+
+TEST_F(ServiceTest, DestructionWaitsForDispatchedTasks) {
+  ModelRegistry registry;
+  ASSERT_TRUE(registry.LoadModel("default", suite_->model_path).ok());
+  // Park both workers behind a latch, so the task the service submits
+  // waits in the pool's FIFO queue until the test releases it. (A pool
+  // of one runs tasks inline and cannot hold one back.)
+  util::ThreadPool pool(2);
+  std::mutex latch_mu;
+  std::condition_variable latch_cv;
+  bool released = false;
+  for (size_t i = 0; i < pool.size(); ++i) {
+    pool.Submit([&] {
+      std::unique_lock<std::mutex> lock(latch_mu);
+      latch_cv.wait(lock, [&] { return released; });
+    });
+  }
+
+  ResponseLog log;
+  auto service =
+      std::make_unique<MatcherService>(&registry, ServiceOptions(), &pool);
+  ASSERT_TRUE(service->Admit(PredictRequest(0, "p"), log.Sink()).ok());
+
+  std::atomic<bool> destroyed{false};
+  std::thread destroyer([&] {
+    service.reset();
+    destroyed.store(true);
+  });
+  // The queued task still holds the service: destruction must wait.
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  EXPECT_FALSE(destroyed.load());
+
+  {
+    std::lock_guard<std::mutex> lock(latch_mu);
+    released = true;
+  }
+  latch_cv.notify_all();
+  destroyer.join();
+  EXPECT_TRUE(destroyed.load());
+  ASSERT_EQ(log.size(), 1u);
+  EXPECT_TRUE(log.responses[0].status.ok());
 }
 
 TEST_F(ServiceTest, ShutdownOpBeginsDrain) {
