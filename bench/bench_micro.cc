@@ -351,6 +351,34 @@ void BM_MlpPredict(benchmark::State& state) {
 }
 BENCHMARK(BM_MlpPredict);
 
+// The relevance scorer's block forward pass: one record's units (40 on
+// the long T-AB records) as rows of mean ++ |diff| over 72-d embeddings,
+// through the scorer topology 144 -> 64 -> 32 -> 1.
+void BM_MlpPredictRows(benchmark::State& state) {
+  const size_t rows = static_cast<size_t>(state.range(0));
+  constexpr size_t kWidth = 144;
+  Rng rng(4);
+  la::Matrix x(rows, kWidth);
+  std::vector<double> y(rows);
+  for (size_t i = 0; i < rows; ++i) {
+    for (size_t j = 0; j < kWidth; ++j) x.At(i, j) = rng.Uniform(-1, 1);
+    y[i] = rng.Uniform(-1, 1);
+  }
+  nn::MlpOptions options;
+  options.hidden = {64, 32};
+  options.epochs = 1;
+  nn::Mlp mlp(options);
+  mlp.Fit(x, y);
+  std::vector<double> out(rows);
+  for (auto _ : state) {
+    mlp.PredictRows(x.data().data(), rows, out.data());
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(rows));
+}
+BENCHMARK(BM_MlpPredictRows)->Arg(1)->Arg(40);
+
 void BM_CsvRoundTrip(benchmark::State& state) {
   const data::Dataset dataset = data::GenerateById("S-FZ", 42, 0.2);
   for (auto _ : state) {

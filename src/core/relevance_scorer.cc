@@ -1,8 +1,10 @@
 #include "core/relevance_scorer.h"
 
 #include <algorithm>
+#include <cmath>
 #include <string>
 #include <unordered_map>
+#include <utility>
 
 #include "util/logging.h"
 #include "util/random.h"
@@ -21,11 +23,46 @@ std::string UnitKey(const DecisionUnit& unit) {
   return (a <= b) ? a + "\x1f" + b : b + "\x1f" + a;
 }
 
-const la::Vec& EmbeddingOrZero(const TokenizedEntity& entity, size_t index,
-                               const la::Vec& zero) {
-  if (entity.embeddings.empty()) return zero;
+/// Embedding width of a record's units, read from whichever side is
+/// encoded.
+size_t EmbeddingDim(const TokenizedRecord& record) {
+  WYM_CHECK(!record.left.embeddings.empty() ||
+            !record.right.embeddings.empty())
+      << "unit features need at least one encoded entity";
+  return record.left.embeddings.empty() ? record.right.embeddings[0].size()
+                                        : record.left.embeddings[0].size();
+}
+
+/// The embedding of token `index` on one side, or nullptr (the zero
+/// [UNP] embedding) when that side is not encoded.
+const float* SideEmbedding(const TokenizedEntity& entity, size_t index,
+                           size_t dim) {
+  if (entity.embeddings.empty()) return nullptr;
   WYM_CHECK_LT(index, entity.embeddings.size());
-  return entity.embeddings[index];
+  WYM_CHECK_EQ(entity.embeddings[index].size(), dim);
+  return entity.embeddings[index].data();
+}
+
+/// The one feature writer: out[0, 2*dim) = mean ++ |diff| of the unit's
+/// two embeddings, the missing side of an unpaired unit being the zero
+/// vector. The float arithmetic is la::MeanOf's and la::AbsDiff's,
+/// widened to double per element.
+void WriteUnitFeatures(const TokenizedRecord& record, const DecisionUnit& unit,
+                       size_t dim, double* out) {
+  const float* left = nullptr;
+  const float* right = nullptr;
+  if (unit.paired || unit.unpaired_side == Side::kLeft) {
+    left = SideEmbedding(record.left, unit.left.position, dim);
+  }
+  if (unit.paired || unit.unpaired_side == Side::kRight) {
+    right = SideEmbedding(record.right, unit.right.position, dim);
+  }
+  for (size_t i = 0; i < dim; ++i) {
+    const float l = left == nullptr ? 0.0f : left[i];
+    const float r = right == nullptr ? 0.0f : right[i];
+    out[i] = 0.5f * (l + r);
+    out[dim + i] = std::fabs(l - r);
+  }
 }
 
 }  // namespace
@@ -35,31 +72,9 @@ RelevanceScorer::RelevanceScorer(Options options)
 
 std::vector<double> RelevanceScorer::UnitFeatures(
     const TokenizedRecord& record, const DecisionUnit& unit) {
-  WYM_CHECK(!record.left.embeddings.empty() ||
-            !record.right.embeddings.empty())
-      << "UnitFeatures needs at least one encoded entity";
-  const size_t dim = record.left.embeddings.empty()
-                         ? record.right.embeddings[0].size()
-                         : record.left.embeddings[0].size();
-  la::Vec zero = la::Zeros(dim);
-
-  const la::Vec* left = &zero;
-  const la::Vec* right = &zero;
-  if (unit.paired) {
-    left = &EmbeddingOrZero(record.left, unit.left.position, zero);
-    right = &EmbeddingOrZero(record.right, unit.right.position, zero);
-  } else if (unit.unpaired_side == Side::kLeft) {
-    left = &EmbeddingOrZero(record.left, unit.left.position, zero);
-  } else {
-    right = &EmbeddingOrZero(record.right, unit.right.position, zero);
-  }
-
-  const la::Vec mean = la::MeanOf(*left, *right);
-  const la::Vec diff = la::AbsDiff(*left, *right);
-  std::vector<double> features;
-  features.reserve(2 * dim);
-  for (float v : mean) features.push_back(v);
-  for (float v : diff) features.push_back(v);
+  const size_t dim = EmbeddingDim(record);
+  std::vector<double> features(2 * dim);
+  WriteUnitFeatures(record, unit, dim, features.data());
   return features;
 }
 
@@ -113,27 +128,28 @@ void RelevanceScorer::Fit(
   }
   Rng rng(options_.seed);
 
-  std::vector<std::vector<double>> rows;
+  std::vector<std::pair<size_t, const DecisionUnit*>> kept;
   std::vector<double> y;
-  rows.reserve(std::min(total_units, options_.max_training_units) + 64);
+  kept.reserve(std::min(total_units, options_.max_training_units) + 64);
   for (size_t r = 0; r < records.size(); ++r) {
     for (const auto& unit : units_per_record[r]) {
       if (keep_probability < 1.0 && !rng.Bernoulli(keep_probability)) {
         continue;
       }
       const Aggregate& agg = targets[UnitKey(unit)];
-      rows.push_back(UnitFeatures(records[r], unit));
+      kept.emplace_back(r, &unit);
       y.push_back(agg.sum / static_cast<double>(agg.count));
     }
   }
-  if (rows.empty()) {
+  if (kept.empty()) {
     fitted_ = true;
     return;
   }
 
-  la::Matrix x(rows.size(), rows[0].size());
-  for (size_t i = 0; i < rows.size(); ++i) {
-    for (size_t j = 0; j < rows[i].size(); ++j) x.At(i, j) = rows[i][j];
+  const size_t dim = EmbeddingDim(records[kept[0].first]);
+  la::Matrix x(kept.size(), 2 * dim);
+  for (size_t i = 0; i < kept.size(); ++i) {
+    WriteUnitFeatures(records[kept[i].first], *kept[i].second, dim, x.Row(i));
   }
   mlp_ = nn::Mlp(options_.mlp);
   mlp_.Fit(x, y);
@@ -144,27 +160,29 @@ std::vector<double> RelevanceScorer::Score(
     const TokenizedRecord& record,
     const std::vector<DecisionUnit>& units) const {
   WYM_CHECK(fitted_) << "RelevanceScorer used before Fit";
-  std::vector<double> scores;
-  scores.reserve(units.size());
-  for (const auto& unit : units) {
-    switch (options_.kind) {
-      case ScorerKind::kBinary:
-        scores.push_back(unit.paired ? 1.0 : -1.0);
-        break;
-      case ScorerKind::kCosine:
-        scores.push_back(unit.paired
-                             ? std::clamp(unit.similarity, -1.0, 1.0)
-                             : -0.5);
-        break;
-      case ScorerKind::kNeural: {
-        if (!mlp_.fitted()) {
-          // Degenerate training corpus: fall back to the binary rule.
-          scores.push_back(unit.paired ? 1.0 : -1.0);
-          break;
-        }
-        scores.push_back(mlp_.Predict(UnitFeatures(record, unit)));
-        break;
-      }
+  std::vector<double> scores(units.size());
+  if (options_.kind == ScorerKind::kNeural && mlp_.fitted()) {
+    if (units.empty()) return scores;
+    // Every unit of the record as one row-major block, scored by one
+    // block forward pass; the block is per-thread scratch.
+    const size_t dim = EmbeddingDim(record);
+    const size_t width = 2 * dim;
+    WYM_CHECK_EQ(width, mlp_.input_dim());
+    thread_local std::vector<double> block;
+    block.resize(units.size() * width);
+    for (size_t u = 0; u < units.size(); ++u) {
+      WriteUnitFeatures(record, units[u], dim, block.data() + u * width);
+    }
+    mlp_.PredictRows(block.data(), units.size(), scores.data());
+    return scores;
+  }
+  for (size_t u = 0; u < units.size(); ++u) {
+    const DecisionUnit& unit = units[u];
+    if (options_.kind == ScorerKind::kCosine) {
+      scores[u] = unit.paired ? std::clamp(unit.similarity, -1.0, 1.0) : -0.5;
+    } else {
+      // kBinary, and kNeural fitted on a degenerate training corpus.
+      scores[u] = unit.paired ? 1.0 : -1.0;
     }
   }
   return scores;
@@ -182,7 +200,9 @@ void RelevanceScorer::Save(serde::Serializer* s) const {
 
 bool RelevanceScorer::Load(serde::Deserializer* d) {
   if (!d->Tag("scorer/v1")) return false;
-  options_.kind = static_cast<ScorerKind>(d->U64());
+  const uint64_t kind = d->U64();
+  if (kind > static_cast<uint64_t>(ScorerKind::kCosine)) return false;
+  options_.kind = static_cast<ScorerKind>(kind);
   options_.alpha = d->F64();
   options_.beta = d->F64();
   fitted_ = d->Bool();

@@ -63,7 +63,9 @@ class RelevanceScorer {
   void Fit(const std::vector<TokenizedRecord>& records,
            const std::vector<std::vector<DecisionUnit>>& units_per_record);
 
-  /// Relevance scores for the units of one record, in unit order.
+  /// Relevance scores for the units of one record, in unit order. The
+  /// neural scorer packs every unit's feature row into one block and
+  /// scores it with one nn::Mlp::PredictRows call.
   std::vector<double> Score(const TokenizedRecord& record,
                             const std::vector<DecisionUnit>& units) const;
 
@@ -82,6 +84,9 @@ class RelevanceScorer {
 
   bool fitted() const { return fitted_; }
   const Options& options() const { return options_; }
+  /// The regressor; unfitted for the binary/cosine kinds and after a
+  /// degenerate training corpus.
+  const nn::Mlp& network() const { return mlp_; }
 
  private:
   Options options_;

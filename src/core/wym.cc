@@ -544,6 +544,14 @@ Result<WymModel> WymModel::LoadFromFile(const std::string& path,
   WYM_RETURN_IF_ERROR(load_component(
       *payload.value(), kSectionScorer,
       [&model](serde::Deserializer* d) { return model.scorer_.Load(d); }));
+  // The network reads mean ++ |diff| of two encoder embeddings per unit.
+  const nn::Mlp& network = model.scorer_.network();
+  if (network.fitted() && network.input_dim() != 2 * model.encoder_.dim()) {
+    return Status::Corruption(
+        "scorer input width " + std::to_string(network.input_dim()) +
+        " does not match 2 x encoder dim " +
+        std::to_string(model.encoder_.dim()) + ": " + path);
+  }
   payload = section(kSectionMatcher);
   if (!payload.ok()) return payload.status();
   WYM_RETURN_IF_ERROR(load_component(

@@ -1,5 +1,6 @@
 #include "la/kernels.h"
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <cstdlib>
@@ -86,6 +87,16 @@ void ScaleF64Scalar(double factor, double* a, size_t n) {
   for (size_t i = 0; i < n; ++i) a[i] *= factor;
 }
 
+void DenseF64Scalar(const double* x, size_t rows, size_t in, const double* w,
+                    const double* bias, size_t n_out, bool relu, double* out) {
+  for (size_t r = 0; r < rows; ++r) {
+    for (size_t o = 0; o < n_out; ++o) {
+      const double v = bias[o] + DotF64Scalar(w + o * in, x + r * in, in);
+      out[r * n_out + o] = relu ? std::max(0.0, v) : v;
+    }
+  }
+}
+
 int32_t DotI8Scalar(const int8_t* a, const int8_t* b, size_t n) {
   int32_t acc = 0;
   for (size_t i = 0; i < n; ++i) {
@@ -126,7 +137,7 @@ void QuantizeRowI8Scalar(const float* row, size_t dim, int8_t* q,
 const internal::KernelTable kScalarTable = {
     DotF32Scalar, DotF64Scalar,   SqDistF64Scalar, AxpyF32Scalar,
     AxpyF64Scalar, ScaleF32Scalar, ScaleF64Scalar,
-    DotI8Scalar,  QuantizeRowI8Scalar,
+    DotI8Scalar,  QuantizeRowI8Scalar, DenseF64Scalar,
 };
 
 // ---------------------------------------------------------------------
@@ -308,6 +319,14 @@ void SimilarityMatrix(const float* a, size_t a_rows, const float* b,
       }
     }
   }
+}
+
+void DenseLayer(const double* x, size_t rows, size_t in, const double* w,
+                const double* bias, size_t n_out, bool relu, double* out) {
+  WYM_DCHECK(rows == 0 || n_out == 0 ||
+             (bias != nullptr && out != nullptr &&
+              (in == 0 || (x != nullptr && w != nullptr))));
+  Active().dense_f64(x, rows, in, w, bias, n_out, relu, out);
 }
 
 void QuantizeRowsI8(const float* rows, size_t n_rows, size_t dim, int8_t* q,

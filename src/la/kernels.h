@@ -78,6 +78,17 @@ void Scale(double factor, double* a, size_t n);
 void SimilarityMatrix(const float* a, size_t a_rows, const float* b,
                       size_t b_rows, size_t dim, double* out);
 
+/// Fused dense layer over `rows` row-major input rows of width `in`:
+///   out[r * n_out + o] = bias[o] + Dot(w + o*in, x + r*in, in)
+/// then std::max(0.0, ·) when `relu` (NaN and -0.0 map to +0.0). `w` is
+/// the n_out x in weight matrix, row-major. Every cell runs Dot's own
+/// 8 partial sums and Reduce8 tree; the paths differ only in how many
+/// cells share one pass over the data (AVX2 register-tiles 4). Each
+/// cell is therefore bit-identical to bias[o] + Dot(w_o, x_r, in) at
+/// every level.
+void DenseLayer(const double* x, size_t rows, size_t in, const double* w,
+                const double* bias, size_t n_out, bool relu, double* out);
+
 // ---------------------------------------------------------------------
 // Quantized int8 tier. Symmetric per-row scaling: a float row maps to
 // int8 codes q[i] plus one float scale with x[i] ≈ q[i] * scale. Unlike
@@ -138,6 +149,8 @@ struct KernelTable {
   void (*scale_f64)(double, double*, size_t);
   int32_t (*dot_i8)(const int8_t*, const int8_t*, size_t);
   void (*quantize_row_i8)(const float*, size_t, int8_t*, float*);
+  void (*dense_f64)(const double*, size_t, size_t, const double*,
+                    const double*, size_t, bool, double*);
 };
 
 /// Scalar table (always available).

@@ -12,6 +12,7 @@
 
 #include "la/kernels.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 
@@ -149,6 +150,113 @@ void ScaleF64Avx2(double factor, double* a, size_t n) {
   for (; i < n; ++i) a[i] *= factor;
 }
 
+// Four dots against one shared vector: lane c of the result is
+// Dot(rows + c*stride, shared, n). Each 8-block of `shared` is loaded
+// once and feeds all four cells. Every cell keeps DotF64Avx2's two
+// accumulators, tail and Reduce8 tree, and products commute exactly, so
+// lane c is bit-identical to DotF64Avx2 over either argument order.
+__m256d Dot4F64Avx2(const double* rows, size_t stride, const double* shared,
+                    size_t n) {
+  const double* r0 = rows;
+  const double* r1 = r0 + stride;
+  const double* r2 = r1 + stride;
+  const double* r3 = r2 + stride;
+  __m256d lo0 = _mm256_setzero_pd(), hi0 = _mm256_setzero_pd();
+  __m256d lo1 = _mm256_setzero_pd(), hi1 = _mm256_setzero_pd();
+  __m256d lo2 = _mm256_setzero_pd(), hi2 = _mm256_setzero_pd();
+  __m256d lo3 = _mm256_setzero_pd(), hi3 = _mm256_setzero_pd();
+  const size_t blocks = n - n % 8;
+  size_t i = 0;
+  for (; i < blocks; i += 8) {
+    const __m256d s_lo = _mm256_loadu_pd(shared + i);
+    const __m256d s_hi = _mm256_loadu_pd(shared + i + 4);
+    lo0 = _mm256_add_pd(lo0, _mm256_mul_pd(_mm256_loadu_pd(r0 + i), s_lo));
+    hi0 = _mm256_add_pd(hi0, _mm256_mul_pd(_mm256_loadu_pd(r0 + i + 4), s_hi));
+    lo1 = _mm256_add_pd(lo1, _mm256_mul_pd(_mm256_loadu_pd(r1 + i), s_lo));
+    hi1 = _mm256_add_pd(hi1, _mm256_mul_pd(_mm256_loadu_pd(r1 + i + 4), s_hi));
+    lo2 = _mm256_add_pd(lo2, _mm256_mul_pd(_mm256_loadu_pd(r2 + i), s_lo));
+    hi2 = _mm256_add_pd(hi2, _mm256_mul_pd(_mm256_loadu_pd(r2 + i + 4), s_hi));
+    lo3 = _mm256_add_pd(lo3, _mm256_mul_pd(_mm256_loadu_pd(r3 + i), s_lo));
+    hi3 = _mm256_add_pd(hi3, _mm256_mul_pd(_mm256_loadu_pd(r3 + i + 4), s_hi));
+  }
+  if (i == n) {
+    // Reduce8 for four cells at once: hadd forms s0+s1 and s2+s3 (then
+    // s4+s5, s6+s7) per cell, the lane permutes line the cells up, and
+    // the two adds finish ((s01 + s23) + (s45 + s67)).
+    const __m256d l01 = _mm256_hadd_pd(lo0, lo1);
+    const __m256d l23 = _mm256_hadd_pd(lo2, lo3);
+    const __m256d h01 = _mm256_hadd_pd(hi0, hi1);
+    const __m256d h23 = _mm256_hadd_pd(hi2, hi3);
+    const __m256d low = _mm256_add_pd(_mm256_permute2f128_pd(l01, l23, 0x20),
+                                      _mm256_permute2f128_pd(l01, l23, 0x31));
+    const __m256d high = _mm256_add_pd(_mm256_permute2f128_pd(h01, h23, 0x20),
+                                       _mm256_permute2f128_pd(h01, h23, 0x31));
+    return _mm256_add_pd(low, high);
+  }
+  double s[4][8];
+  _mm256_storeu_pd(s[0], lo0);
+  _mm256_storeu_pd(s[0] + 4, hi0);
+  _mm256_storeu_pd(s[1], lo1);
+  _mm256_storeu_pd(s[1] + 4, hi1);
+  _mm256_storeu_pd(s[2], lo2);
+  _mm256_storeu_pd(s[2] + 4, hi2);
+  _mm256_storeu_pd(s[3], lo3);
+  _mm256_storeu_pd(s[3] + 4, hi3);
+  for (; i < n; ++i) {
+    s[0][i % 8] += r0[i] * shared[i];
+    s[1][i % 8] += r1[i] * shared[i];
+    s[2][i % 8] += r2[i] * shared[i];
+    s[3][i % 8] += r3[i] * shared[i];
+  }
+  return _mm256_setr_pd(Reduce8(s[0]), Reduce8(s[1]), Reduce8(s[2]),
+                        Reduce8(s[3]));
+}
+
+// bias + dot, then std::max(0.0, ·) when relu: MAXPD returns its second
+// operand for NaN and for a pair of zeros, so NaN and -0.0 become +0.0.
+inline __m256d BiasRelu(__m256d bias, __m256d dots, bool relu) {
+  const __m256d v = _mm256_add_pd(bias, dots);
+  return relu ? _mm256_max_pd(v, _mm256_setzero_pd()) : v;
+}
+
+// Register-tiled dense layer. Output tiles of 4 cells share one pass
+// over an input row; an output left over from the tiles (the network's
+// last layer has exactly one) is tiled across 4 input rows sharing one
+// pass over its weight row instead. Rows go in blocks so a block of
+// inputs stays in L1 while the weight tiles stream over it once per
+// block. Tiling and blocking reorder cells only.
+void DenseF64Avx2(const double* x, size_t rows, size_t in, const double* w,
+                  const double* bias, size_t n_out, bool relu, double* out) {
+  constexpr size_t kRowBlock = 16;
+  const size_t tiled = n_out - n_out % 4;
+  for (size_t rb = 0; rb < rows; rb += kRowBlock) {
+    const size_t r_end = rb + kRowBlock < rows ? rb + kRowBlock : rows;
+    for (size_t o = 0; o < tiled; o += 4) {
+      const __m256d b = _mm256_loadu_pd(bias + o);
+      for (size_t r = rb; r < r_end; ++r) {
+        _mm256_storeu_pd(out + r * n_out + o,
+                         BiasRelu(b, Dot4F64Avx2(w + o * in, in, x + r * in, in),
+                                  relu));
+      }
+    }
+    for (size_t o = tiled; o < n_out; ++o) {
+      const double* w_row = w + o * in;
+      size_t r = rb;
+      for (; r + 4 <= r_end; r += 4) {
+        double cells[4];
+        _mm256_storeu_pd(
+            cells, BiasRelu(_mm256_set1_pd(bias[o]),
+                            Dot4F64Avx2(x + r * in, in, w_row, in), relu));
+        for (size_t c = 0; c < 4; ++c) out[(r + c) * n_out + o] = cells[c];
+      }
+      for (; r < r_end; ++r) {
+        const double v = bias[o] + DotF64Avx2(w_row, x + r * in, in);
+        out[r * n_out + o] = relu ? std::max(0.0, v) : v;
+      }
+    }
+  }
+}
+
 // Int8 dot via the signed path: _mm256_cvtepi8_epi16 sign-extension +
 // _mm256_madd_epi16. Deliberately avoids _mm256_maddubs_epi16 (whose
 // unsigned×signed int16 saturation could differ from the scalar/SSE2
@@ -266,7 +374,7 @@ void QuantizeRowI8Avx2(const float* row, size_t dim, int8_t* q,
 const KernelTable kAvx2Table = {
     DotF32Avx2,  DotF64Avx2,   SqDistF64Avx2, AxpyF32Avx2,
     AxpyF64Avx2, ScaleF32Avx2, ScaleF64Avx2,
-    DotI8Avx2,   QuantizeRowI8Avx2,
+    DotI8Avx2,   QuantizeRowI8Avx2, DenseF64Avx2,
 };
 
 bool CpuHasAvx2() {

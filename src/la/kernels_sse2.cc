@@ -11,6 +11,7 @@
 
 #include "la/kernels.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 
@@ -284,10 +285,21 @@ void QuantizeRowI8Sse2(const float* row, size_t dim, int8_t* q,
   *scale = max_abs / 127.0f;
 }
 
+// One DotF64Sse2 per cell, so each cell is that dot bit for bit.
+void DenseF64Sse2(const double* x, size_t rows, size_t in, const double* w,
+                  const double* bias, size_t n_out, bool relu, double* out) {
+  for (size_t r = 0; r < rows; ++r) {
+    for (size_t o = 0; o < n_out; ++o) {
+      const double v = bias[o] + DotF64Sse2(w + o * in, x + r * in, in);
+      out[r * n_out + o] = relu ? std::max(0.0, v) : v;
+    }
+  }
+}
+
 const KernelTable kSse2Table = {
     DotF32Sse2,  DotF64Sse2,   SqDistF64Sse2, AxpyF32Sse2,
     AxpyF64Sse2, ScaleF32Sse2, ScaleF64Sse2,
-    DotI8Sse2,   QuantizeRowI8Sse2,
+    DotI8Sse2,   QuantizeRowI8Sse2, DenseF64Sse2,
 };
 
 }  // namespace

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "la/kernels.h"
 #include "util/logging.h"
@@ -79,6 +80,11 @@ bool Matrix::Load(serde::Deserializer* d) {
   rows_ = d->U64();
   cols_ = d->U64();
   data_ = d->VecF64();
+  // A wrapped rows*cols could match a short data vector and send At()
+  // and Row() past its end.
+  if (cols_ != 0 && rows_ > std::numeric_limits<size_t>::max() / cols_) {
+    return false;
+  }
   if (!d->ok() || data_.size() != rows_ * cols_) return false;
   return true;
 }

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "la/kernels.h"
 #include "util/logging.h"
 #include "util/random.h"
 
@@ -42,32 +43,20 @@ void AdamStep(std::vector<double>* params, const std::vector<double>& grads,
 
 Mlp::Mlp(MlpOptions options) : options_(std::move(options)) {}
 
-double Mlp::Forward(const std::vector<double>& row,
-                    std::vector<std::vector<double>>* activations) const {
-  WYM_CHECK_EQ(row.size(), input_dim_);
-  std::vector<double> current = row;
-  if (activations) {
-    activations->clear();
-    activations->push_back(current);
-  }
+void Mlp::Forward(const double* x, size_t rows,
+                  std::vector<std::vector<double>>* outputs) const {
+  outputs->resize(layers_.size());
+  const double* input = x;
   for (size_t l = 0; l < layers_.size(); ++l) {
     const Layer& layer = layers_[l];
-    std::vector<double> next(layer.bias);
-    for (size_t o = 0; o < layer.weights.rows(); ++o) {
-      const double* w = layer.weights.Row(o);
-      double sum = 0.0;
-      for (size_t i = 0; i < current.size(); ++i) sum += w[i] * current[i];
-      next[o] += sum;
-    }
-    const bool is_output = (l + 1 == layers_.size());
-    if (!is_output) {
-      for (double& v : next) v = std::max(0.0, v);  // ReLU
-    }
-    current = std::move(next);
-    if (activations) activations->push_back(current);
+    std::vector<double>& out = (*outputs)[l];
+    out.resize(rows * layer.weights.rows());
+    la::kernels::DenseLayer(input, rows, layer.weights.cols(),
+                            layer.weights.data().data(), layer.bias.data(),
+                            layer.weights.rows(),
+                            /*relu=*/l + 1 < layers_.size(), out.data());
+    input = out.data();
   }
-  WYM_CHECK_EQ(current.size(), 1u);
-  return current[0];
 }
 
 void Mlp::Fit(const la::Matrix& x, const std::vector<double>& y) {
@@ -103,59 +92,70 @@ void Mlp::Fit(const la::Matrix& x, const std::vector<double>& y) {
   for (size_t i = 0; i < order.size(); ++i) order[i] = i;
 
   size_t step = 0;
-  std::vector<std::vector<double>> activations;
+  // Reused across minibatches: the gathered input rows, each layer's
+  // block output, the per-layer gradients and the backprop deltas.
+  std::vector<double> batch_x;
+  std::vector<std::vector<double>> outputs;
+  std::vector<std::vector<double>> grad_w(layers_.size());
+  std::vector<std::vector<double>> grad_b(layers_.size());
+  std::vector<double> delta;
+  std::vector<double> prev_delta;
   for (size_t epoch = 0; epoch < options_.epochs; ++epoch) {
     rng.Shuffle(&order);
     for (size_t start = 0; start < order.size();
          start += options_.batch_size) {
       const size_t end = std::min(order.size(), start + options_.batch_size);
-      const double inv_batch = 1.0 / static_cast<double>(end - start);
+      const size_t n = end - start;
+      const double inv_batch = 1.0 / static_cast<double>(n);
 
-      // Accumulated gradients, flat per layer (weights then handled as
-      // row-major grid matching la::Matrix storage).
-      std::vector<std::vector<double>> grad_w(layers_.size());
-      std::vector<std::vector<double>> grad_b(layers_.size());
+      // Weights only change after the minibatch, so its forward pass is
+      // one block pass over the gathered rows.
+      batch_x.resize(n * input_dim_);
+      for (size_t s = 0; s < n; ++s) {
+        std::copy_n(x.Row(order[start + s]), input_dim_,
+                    batch_x.data() + s * input_dim_);
+      }
+      Forward(batch_x.data(), n, &outputs);
+
+      // Accumulated gradients, flat per layer (weights row-major,
+      // matching la::Matrix storage).
       for (size_t l = 0; l < layers_.size(); ++l) {
         grad_w[l].assign(layers_[l].weights.data().size(), 0.0);
         grad_b[l].assign(layers_[l].bias.size(), 0.0);
       }
 
-      for (size_t s = start; s < end; ++s) {
-        const size_t row = order[s];
-        const double out = Forward(x.RowVector(row), &activations);
+      for (size_t s = 0; s < n; ++s) {
+        const size_t row = order[start + s];
         // d(0.5*(out-y)^2)/dout
-        double delta_scalar = (out - y[row]) * inv_batch;
+        delta.assign(1, (outputs.back()[s] - y[row]) * inv_batch);
 
-        // Backprop. activations[l] is the input of layer l.
-        std::vector<double> delta = {delta_scalar};
+        // Backprop. The input of layer l is row s of the batch (l == 0)
+        // or of layer l-1's post-ReLU output.
         for (size_t l = layers_.size(); l-- > 0;) {
-          const std::vector<double>& input = activations[l];
           Layer& layer = layers_[l];
+          const size_t in = layer.weights.cols();
+          const double* input = l == 0 ? batch_x.data() + s * in
+                                       : outputs[l - 1].data() + s * in;
           // Gradients of this layer.
           for (size_t o = 0; o < layer.weights.rows(); ++o) {
             const double d = delta[o];
             if (d == 0.0) continue;
-            double* gw = grad_w[l].data() + o * layer.weights.cols();
-            for (size_t i = 0; i < input.size(); ++i) gw[i] += d * input[i];
+            la::kernels::Axpy(d, input, grad_w[l].data() + o * in, in);
             grad_b[l][o] += d;
           }
           if (l == 0) break;
           // Delta for the previous layer (through this layer's weights and
           // the previous layer's ReLU).
-          std::vector<double> prev_delta(layer.weights.cols(), 0.0);
+          prev_delta.assign(in, 0.0);
           for (size_t o = 0; o < layer.weights.rows(); ++o) {
             const double d = delta[o];
             if (d == 0.0) continue;
-            const double* w = layer.weights.Row(o);
-            for (size_t i = 0; i < prev_delta.size(); ++i) {
-              prev_delta[i] += d * w[i];
-            }
+            la::kernels::Axpy(d, layer.weights.Row(o), prev_delta.data(), in);
           }
-          const std::vector<double>& prev_act = activations[l];
-          for (size_t i = 0; i < prev_delta.size(); ++i) {
-            if (prev_act[i] <= 0.0) prev_delta[i] = 0.0;  // ReLU'
+          for (size_t i = 0; i < in; ++i) {
+            if (input[i] <= 0.0) prev_delta[i] = 0.0;  // ReLU'
           }
-          delta = std::move(prev_delta);
+          delta.swap(prev_delta);
         }
       }
 
@@ -185,31 +185,64 @@ void Mlp::Save(serde::Serializer* s) const {
 
 bool Mlp::Load(serde::Deserializer* d) {
   if (!d->Tag("mlp/v1")) return false;
-  fitted_ = d->Bool();
-  options_.clamp_output = d->Bool();
-  input_dim_ = d->U64();
+  const bool fitted = d->Bool();
+  const bool clamp_output = d->Bool();
+  const uint64_t input_dim = d->U64();
   const uint64_t n_layers = d->U64();
   if (!d->ok() || n_layers > 64) return false;
-  layers_.assign(n_layers, {});
-  for (Layer& layer : layers_) {
+  // A fitted network is a chain from input_dim features to one output:
+  // the block forward pass trusts these shapes.
+  if (fitted && n_layers == 0) return false;
+  std::vector<Layer> layers(n_layers);
+  uint64_t width = input_dim;
+  for (Layer& layer : layers) {
     if (!layer.weights.Load(d)) return false;
     layer.bias = d->VecF64();
-    if (!d->ok() || layer.bias.size() != layer.weights.rows()) return false;
+    if (!d->ok() || layer.bias.size() != layer.weights.rows() ||
+        layer.weights.cols() != width) {
+      return false;
+    }
+    width = layer.weights.rows();
   }
-  return d->ok();
+  if (n_layers > 0 && width != 1) return false;
+  fitted_ = fitted;
+  options_.clamp_output = clamp_output;
+  input_dim_ = input_dim;
+  layers_ = std::move(layers);
+  return true;
 }
 
 double Mlp::Predict(const std::vector<double>& row) const {
-  WYM_CHECK(fitted_) << "Mlp used before Fit";
-  double out = Forward(row, nullptr);
-  if (options_.clamp_output) out = std::clamp(out, -1.0, 1.0);
+  WYM_CHECK_EQ(row.size(), input_dim_);
+  double out = 0.0;
+  PredictRows(row.data(), 1, &out);
   return out;
 }
 
 std::vector<double> Mlp::PredictBatch(const la::Matrix& x) const {
+  WYM_CHECK(x.rows() == 0 || x.cols() == input_dim_);
   std::vector<double> out(x.rows());
-  for (size_t r = 0; r < x.rows(); ++r) out[r] = Predict(x.RowVector(r));
+  PredictRows(x.data().data(), x.rows(), out.data());
   return out;
+}
+
+void Mlp::PredictRows(const double* x, size_t rows, double* out) const {
+  WYM_CHECK(fitted_) << "Mlp used before Fit";
+  // Fixed-size chunks bound the scratch (and keep it cache-sized)
+  // whatever the caller's batch. Rows are independent, so chunking
+  // changes no result.
+  constexpr size_t kChunkRows = 64;
+  thread_local std::vector<std::vector<double>> scratch;
+  for (size_t begin = 0; begin < rows; begin += kChunkRows) {
+    const size_t n = std::min(kChunkRows, rows - begin);
+    Forward(x + begin * input_dim_, n, &scratch);
+    const double* result = scratch.back().data();
+    for (size_t r = 0; r < n; ++r) {
+      out[begin + r] = options_.clamp_output
+                           ? std::clamp(result[r], -1.0, 1.0)
+                           : result[r];
+    }
+  }
 }
 
 }  // namespace wym::nn

@@ -46,10 +46,18 @@ class Mlp {
   /// Batch prediction.
   std::vector<double> PredictBatch(const la::Matrix& x) const;
 
+  /// Block prediction: `x` holds `rows` row-major feature rows of width
+  /// input_dim(); out[r] receives row r's prediction. Runs every layer
+  /// through la::kernels::DenseLayer over reused thread-local scratch.
+  /// Predict and PredictBatch are this call with one row / all rows.
+  void PredictRows(const double* x, size_t rows, double* out) const;
+
   /// Serializes the trained network (topology + weights + the
   /// inference-relevant options).
   void Save(serde::Serializer* s) const;
-  /// Restores a Save()d network; returns false on malformed input.
+  /// Restores a Save()d network; returns false on malformed input,
+  /// including a layer chain whose shapes do not connect input_dim()
+  /// to one output.
   bool Load(serde::Deserializer* d);
 
   bool fitted() const { return fitted_; }
@@ -61,9 +69,12 @@ class Mlp {
     std::vector<double> bias;  // out
   };
 
-  /// Forward pass; fills per-layer activations (post-ReLU, last = linear).
-  double Forward(const std::vector<double>& row,
-                 std::vector<std::vector<double>>* activations) const;
+  /// Block forward pass over `rows` row-major input rows: (*outputs)[l]
+  /// receives layer l's rows x width output (post-ReLU for hidden
+  /// layers, linear for the last). Buffers are resized in place, so a
+  /// caller that keeps `outputs` reuses their capacity.
+  void Forward(const double* x, size_t rows,
+               std::vector<std::vector<double>>* outputs) const;
 
   MlpOptions options_;
   bool fitted_ = false;

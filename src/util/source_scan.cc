@@ -460,14 +460,15 @@ void CheckNoParallelReduce(const FileCtx& ctx, std::vector<Finding>* out) {
 /// kernel-bypass-accumulation: a hand-rolled `acc += a[i] * b[i]` dot
 /// loop in the math subsystems compiles to whatever reduction order the
 /// optimizer picks and silently diverges from la::kernels' pinned
-/// summation tree. Route through kernels::Dot/Axpy (or DotI8 for int8
-/// code paths — src/core and src/blocking consume the quantized kernels
-/// and are covered for the same reason).
+/// summation tree. Route through kernels::Dot/Axpy/DenseLayer (or DotI8
+/// for int8 code paths — src/core and src/blocking consume the
+/// quantized kernels and are covered for the same reason; src/nn runs
+/// every forward pass through DenseLayer).
 void CheckKernelBypassAccumulation(const FileCtx& ctx,
                                    std::vector<Finding>* out) {
   if (!ctx.InDir("src/la/") && !ctx.InDir("src/ml/") &&
       !ctx.InDir("src/embedding/") && !ctx.InDir("src/core/") &&
-      !ctx.InDir("src/blocking/")) {
+      !ctx.InDir("src/blocking/") && !ctx.InDir("src/nn/")) {
     return;
   }
   if (strings::StartsWith(ctx.Basename(), "kernels")) return;

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <set>
 
 #include "core/decision_unit.h"
@@ -11,6 +12,7 @@
 #include "core/unit_generator.h"
 #include "data/benchmark_gen.h"
 #include "embedding/semantic_encoder.h"
+#include "la/vector_ops.h"
 #include "text/tokenizer.h"
 #include "util/random.h"
 
@@ -356,6 +358,108 @@ TEST(RelevanceScorerTest, NeuralScorerLearnsPairedVsUnpaired) {
   for (size_t u = 0; u < units[1].size(); ++u) {
     if (!units[1][u].paired) {
       EXPECT_LT(non_match_scores[u], 0.0);
+    }
+  }
+}
+
+TEST(RelevanceScorerTest, UnitFeaturesMatchMeanOfAndAbsDiff) {
+  // The feature writer keeps la::MeanOf / la::AbsDiff's float
+  // arithmetic, with the zero vector standing in for an unpaired side.
+  const data::Schema schema{{"name"}};
+  const auto encoder = MakeEncoder({{"alpha", "beta"}});
+  const TokenizedRecord record =
+      MakeRecord(schema, {"alpha"}, {"beta"}, 1, encoder);
+  const la::Vec& left = record.left.embeddings[0];
+  const la::Vec& right = record.right.embeddings[0];
+  const la::Vec zero = la::Zeros(left.size());
+
+  DecisionUnit paired;
+  paired.paired = true;
+  DecisionUnit left_only;
+  left_only.unpaired_side = Side::kLeft;
+  DecisionUnit right_only;
+  right_only.unpaired_side = Side::kRight;
+  struct Case {
+    const DecisionUnit* unit;
+    const la::Vec* l;
+    const la::Vec* r;
+  };
+  const Case cases[] = {{&paired, &left, &right},
+                        {&left_only, &left, &zero},
+                        {&right_only, &zero, &right}};
+  for (const Case& c : cases) {
+    std::vector<double> expected;
+    for (float v : la::MeanOf(*c.l, *c.r)) expected.push_back(v);
+    for (float v : la::AbsDiff(*c.l, *c.r)) expected.push_back(v);
+    const std::vector<double> features =
+        RelevanceScorer::UnitFeatures(record, *c.unit);
+    ASSERT_EQ(features.size(), expected.size());
+    EXPECT_EQ(std::memcmp(features.data(), expected.data(),
+                          expected.size() * sizeof(double)),
+              0);
+  }
+}
+
+TEST(RelevanceScorerTest, BlockScoreEqualsPerUnitPredictBitForBit) {
+  // Score packs a record's units into one block for one forward pass;
+  // each score must equal the per-unit path bit for bit.
+  const data::Schema schema{{"name", "brand"}};
+  const auto encoder = MakeEncoder(
+      {{"digital", "camera", "sony"}, {"wireless", "router", "netgear"}});
+  std::vector<TokenizedRecord> records;
+  std::vector<std::vector<DecisionUnit>> units;
+  const DecisionUnitGenerator generator;
+  for (int i = 0; i < 10; ++i) {
+    records.push_back(MakeRecord(schema, {"digital camera", "sony"},
+                                 {"digital camera", "sony"}, 1, encoder));
+    records.push_back(MakeRecord(schema, {"digital camera", "sony"},
+                                 {"wireless router", "netgear"}, 0,
+                                 encoder));
+  }
+  for (const auto& record : records) {
+    units.push_back(
+        generator.Generate(record.left, record.right, schema.size()));
+  }
+  RelevanceScorerOptions options;
+  options.mlp.epochs = 3;
+  RelevanceScorer scorer(options);
+  scorer.Fit(records, units);
+  ASSERT_TRUE(scorer.network().fitted());
+
+  // Paired, unpaired-left and unpaired-right units in one record.
+  const TokenizedRecord mixed =
+      MakeRecord(schema, {"digital camera", "sony"},
+                 {"digital router", "sony"}, 0, encoder);
+  const std::vector<DecisionUnit> mixed_units =
+      generator.Generate(mixed.left, mixed.right, schema.size());
+  size_t paired = 0, left_only = 0, right_only = 0;
+  for (const auto& unit : mixed_units) {
+    if (unit.paired) {
+      ++paired;
+    } else if (unit.unpaired_side == Side::kLeft) {
+      ++left_only;
+    } else {
+      ++right_only;
+    }
+  }
+  ASSERT_GT(paired, 0u);
+  ASSERT_GT(left_only, 0u);
+  ASSERT_GT(right_only, 0u);
+
+  // The same units over a record whose right side has no embeddings:
+  // every right-hand lookup reads the zero [UNP] vector.
+  TokenizedRecord one_sided = mixed;
+  one_sided.right.embeddings.clear();
+
+  const TokenizedRecord* checked[] = {&mixed, &one_sided};
+  for (const TokenizedRecord* record : checked) {
+    const std::vector<double> scores = scorer.Score(*record, mixed_units);
+    ASSERT_EQ(scores.size(), mixed_units.size());
+    for (size_t u = 0; u < mixed_units.size(); ++u) {
+      const double single = scorer.network().Predict(
+          RelevanceScorer::UnitFeatures(*record, mixed_units[u]));
+      EXPECT_EQ(std::memcmp(&scores[u], &single, sizeof(double)), 0)
+          << (record == &mixed ? "mixed" : "one-sided") << " unit " << u;
     }
   }
 }

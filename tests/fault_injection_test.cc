@@ -18,17 +18,22 @@
 #include <unistd.h>
 
 #include <cstdio>
+#include <limits>
 #include <memory>
+#include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/wym.h"
 #include "data/benchmark_gen.h"
 #include "data/csv.h"
 #include "data/split.h"
+#include "la/matrix.h"
 #include "obs/metrics.h"
 #include "util/framed_file.h"
 #include "util/io.h"
+#include "util/serde.h"
 #include "util/status.h"
 
 namespace wym {
@@ -238,6 +243,102 @@ TEST_F(FaultInjectionTest, LegacyV1FileIsRejectedWithTypedError) {
   EXPECT_EQ(verified.message(),
             "unsupported legacy v1 model file: " + v1_path);
   std::remove(v1_path.c_str());
+}
+
+// ---------------------------------------------------------------------
+// CRC-valid files whose scorer network has inconsistent shapes
+// ---------------------------------------------------------------------
+
+/// A hand-built mlp/v1 network: one (rows x cols) layer per entry,
+/// weights 0.01, biases 0.
+std::string MlpPayload(uint64_t input_dim,
+                       const std::vector<std::pair<size_t, size_t>>& layers) {
+  std::ostringstream out;
+  serde::Serializer s(&out);
+  s.Tag("mlp/v1");
+  s.Bool(true);  // fitted
+  s.Bool(true);  // clamp_output
+  s.U64(input_dim);
+  s.U64(layers.size());
+  for (const auto& [rows, cols] : layers) {
+    la::Matrix(rows, cols, 0.01).Save(&s);
+    s.VecF64(std::vector<double>(rows, 0.0));
+  }
+  return out.str();
+}
+
+/// `clean` with its scorer section replaced by a neural scorer carrying
+/// `network`. Every checksum is recomputed, so only the loader's shape
+/// checks stand between the payload and the forward pass.
+std::string WithScorerNetwork(const std::string& clean,
+                              const std::string& network) {
+  const std::string magic = clean.substr(0, clean.find(' '));
+  uint32_t version = 0;
+  std::vector<io::FileFrame> frames;
+  EXPECT_TRUE(io::DecodeFramedFile(clean, magic,
+                                   std::numeric_limits<uint32_t>::max(),
+                                   &version, &frames)
+                  .ok());
+  std::ostringstream scorer;
+  serde::Serializer s(&scorer);
+  s.Tag("scorer/v1");
+  s.U64(0);  // ScorerKind::kNeural
+  s.F64(0.55);
+  s.F64(0.45);
+  s.Bool(true);  // fitted
+  s.Bool(true);  // has a network
+  scorer << network;
+  size_t replaced = 0;
+  for (io::FileFrame& frame : frames) {
+    if (frame.name != "scorer") continue;
+    frame.payload = scorer.str();
+    ++replaced;
+  }
+  EXPECT_EQ(replaced, 1u);
+  return io::EncodeFramedFile(magic, version, frames);
+}
+
+TEST_F(FaultInjectionTest, ScorerNetworkShapesAreCheckedOnLoad) {
+  const size_t width = 2 * suite_->model.encoder().dim();
+  const std::string path = suite_->path + ".shapes";
+  const auto load = [&](const std::string& network) {
+    EXPECT_TRUE(io::WriteFileAtomic(
+                    path, WithScorerNetwork(suite_->clean_bytes, network))
+                    .ok());
+    // The checksums hold: only deserialization can catch the payload.
+    EXPECT_TRUE(core::WymModel::VerifyFile(path, nullptr).ok());
+    return core::WymModel::LoadFromFile(path);
+  };
+
+  // A connected network of the right width loads and predicts.
+  auto sound = load(MlpPayload(width, {{3, width}, {1, 3}}));
+  ASSERT_TRUE(sound.ok()) << sound.status().ToString();
+  EXPECT_EQ(sound.value().PredictProbaBatch(suite_->split.test).size(),
+            suite_->split.test.size());
+
+  // Layer 0 narrower than the declared input: the forward pass would
+  // read past each weight row.
+  auto narrow = load(MlpPayload(width, {{3, width - 1}, {1, 3}}));
+  ASSERT_FALSE(narrow.ok());
+  EXPECT_EQ(narrow.status().code(), Status::Code::kCorruption);
+  EXPECT_EQ(narrow.status().message(),
+            "bad scorer state in section 'scorer': " + path);
+
+  // A broken chain and a fan-out at the top are the same failure.
+  EXPECT_EQ(load(MlpPayload(width, {{3, width}, {1, 2}})).status().code(),
+            Status::Code::kCorruption);
+  EXPECT_EQ(load(MlpPayload(width, {{3, width}, {2, 3}})).status().code(),
+            Status::Code::kCorruption);
+
+  // Self-consistent, but not 2 x the encoder dim.
+  auto mismatched = load(MlpPayload(width - 2, {{3, width - 2}, {1, 3}}));
+  ASSERT_FALSE(mismatched.ok());
+  EXPECT_EQ(mismatched.status().code(), Status::Code::kCorruption);
+  EXPECT_EQ(mismatched.status().message(),
+            "scorer input width " + std::to_string(width - 2) +
+                " does not match 2 x encoder dim " +
+                std::to_string(width / 2) + ": " + path);
+  std::remove(path.c_str());
 }
 
 // ---------------------------------------------------------------------

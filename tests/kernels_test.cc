@@ -11,10 +11,13 @@
 
 #include <unistd.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -205,6 +208,88 @@ TEST(KernelParityTest, SimilarityMatrixBitIdenticalAcrossLevels) {
     la::kernels::SimilarityMatrix(a.data(), rows_a, b.data(), rows_b, dim,
                                   out.data());
     EXPECT_EQ(reference, out);
+  }
+}
+
+// --- Fused dense layer -----------------------------------------------
+
+bool SameBits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof(double)) == 0;
+}
+
+TEST(KernelParityTest, DenseLayerEqualsPerCellDotOnEveryLevel) {
+  Rng rng(0xDE45E);
+  // Widths around the 8-block; n_out on and off the AVX2 4-cell tile;
+  // rows 0, 1 and a count past one 16-row block that is not a multiple
+  // of it.
+  for (size_t in : {1, 7, 8, 9, 136}) {
+    for (size_t n_out : {1, 3, 4, 6, 33}) {
+      for (size_t rows : {0, 1, 41}) {
+        const std::vector<double> x = RandomF64(&rng, rows * in);
+        const std::vector<double> w = RandomF64(&rng, n_out * in);
+        const std::vector<double> bias = RandomF64(&rng, n_out);
+        for (bool relu : {false, true}) {
+          for (SimdLevel level : AvailableLevels()) {
+            ScopedSimdLevel guard(level);
+            SCOPED_TRACE(testing::Message()
+                         << "in=" << in << " n_out=" << n_out << " rows="
+                         << rows << " relu=" << relu << " level="
+                         << la::kernels::SimdLevelName(level));
+            // One sentinel past the end: the kernel writes rows*n_out
+            // cells, no more.
+            std::vector<double> out(rows * n_out + 1, 42.0);
+            la::kernels::DenseLayer(x.data(), rows, in, w.data(),
+                                    bias.data(), n_out, relu, out.data());
+            EXPECT_EQ(out.back(), 42.0);
+            for (size_t r = 0; r < rows; ++r) {
+              for (size_t o = 0; o < n_out; ++o) {
+                double expected = bias[o] + la::kernels::Dot(w.data() + o * in,
+                                                             x.data() + r * in,
+                                                             in);
+                if (relu) expected = std::max(0.0, expected);
+                ASSERT_TRUE(SameBits(out[r * n_out + o], expected))
+                    << "cell r=" << r << " o=" << o;
+              }
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(KernelParityTest, DenseLayerReluHasStdMaxSemantics) {
+  // std::max(0.0, v) maps NaN and -0.0 to +0.0. A cell cannot compute
+  // -0.0 itself (Dot's partial sums start at +0.0), so a -0.0 bias over
+  // zero weights is the closest input; a NaN bias, and a NaN in row 1's
+  // input, must come out as +0.0 too. n_out = 6 puts the special values
+  // in the 4-cell tile and in the leftover cells.
+  const size_t in = 9, n_out = 6, rows = 2;
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const std::vector<double> bias = {nan, -0.0, -inf, inf, nan, -0.0};
+  const std::vector<double> w(n_out * in, 0.0);
+  std::vector<double> x(rows * in, 0.5);
+  x[in + 3] = nan;
+  const double pos_zero = 0.0;
+  for (SimdLevel level : AvailableLevels()) {
+    ScopedSimdLevel guard(level);
+    SCOPED_TRACE(la::kernels::SimdLevelName(level));
+    std::vector<double> out(rows * n_out);
+    la::kernels::DenseLayer(x.data(), rows, in, w.data(), bias.data(), n_out,
+                            /*relu=*/true, out.data());
+    for (size_t o = 0; o < n_out; ++o) {
+      const double row0 = o == 3 ? inf : pos_zero;
+      EXPECT_TRUE(SameBits(out[o], row0)) << "row 0 cell " << o;
+      EXPECT_TRUE(SameBits(out[n_out + o], pos_zero)) << "row 1 cell " << o;
+    }
+    // Without the ReLU the same cells stay NaN / infinite.
+    la::kernels::DenseLayer(x.data(), rows, in, w.data(), bias.data(), n_out,
+                            /*relu=*/false, out.data());
+    EXPECT_TRUE(std::isnan(out[0]));
+    EXPECT_TRUE(std::isnan(out[4]));
+    EXPECT_EQ(out[2], -inf);
+    EXPECT_TRUE(std::isnan(out[n_out + 3]));
   }
 }
 

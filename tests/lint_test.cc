@@ -256,6 +256,9 @@ TEST(KernelBypassCheckTest, FiresOnDotLoopsInMathDirsOnly) {
                        "kernel-bypass-accumulation"));
   EXPECT_TRUE(HasCheck(Scan("src/blocking/x.cc", dot),
                        "kernel-bypass-accumulation"));
+  // And the network, whose forward pass runs through DenseLayer.
+  EXPECT_TRUE(HasCheck(Scan("src/nn/x.cc", dot),
+                       "kernel-bypass-accumulation"));
   // Outside the covered subsystems: quiet.
   EXPECT_FALSE(HasCheck(Scan("src/obs/x.cc", dot),
                         "kernel-bypass-accumulation"));

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
 #include "nn/mlp.h"
 #include "util/random.h"
@@ -99,6 +100,28 @@ TEST(MlpTest, PredictBatchMatchesPredict) {
   const auto batch = mlp.PredictBatch(x);
   for (size_t i = 0; i < 16; ++i) {
     EXPECT_DOUBLE_EQ(batch[i], mlp.Predict(x.RowVector(i)));
+  }
+}
+
+TEST(MlpTest, PredictRowsEqualsPredictRowByRow) {
+  // 150 rows span more than one internal chunk; width 9 and the
+  // {16, 8} hidden layers exercise the dense kernel's tails.
+  Rng rng(23);
+  la::Matrix x(150, 9);
+  std::vector<double> y(150);
+  for (size_t i = 0; i < 150; ++i) {
+    for (size_t j = 0; j < 9; ++j) x.At(i, j) = rng.Uniform(-1, 1);
+    y[i] = x.At(i, 0) * x.At(i, 4);
+  }
+  MlpOptions options = SmallOptions();
+  options.epochs = 5;
+  Mlp mlp(options);
+  mlp.Fit(x, y);
+  std::vector<double> block(x.rows());
+  mlp.PredictRows(x.data().data(), x.rows(), block.data());
+  for (size_t i = 0; i < x.rows(); ++i) {
+    const double single = mlp.Predict(x.RowVector(i));
+    EXPECT_EQ(std::memcmp(&block[i], &single, sizeof(double)), 0) << i;
   }
 }
 

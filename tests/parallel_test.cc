@@ -238,5 +238,53 @@ TEST_F(BatchDeterminismTest,
   }
 }
 
+TEST_F(BatchDeterminismTest,
+       ExplainBatchBitIdenticalAcrossSimdLevelsAndThreadCounts) {
+  // Relevance (the dense-layer kernel) and impact bits, not just the
+  // probability, must agree across every {SIMD level} x {thread count}.
+  using la::kernels::SimdLevel;
+  const SimdLevel ambient = la::kernels::ActiveSimdLevel();
+  std::vector<SimdLevel> levels = {SimdLevel::kScalar};
+  if (la::kernels::DetectedSimdLevel() != SimdLevel::kScalar) {
+    levels.push_back(la::kernels::DetectedSimdLevel());
+  }
+
+  util::ThreadPool one(1), eight(8);
+  std::vector<std::vector<core::Explanation>> runs;
+  for (SimdLevel level : levels) {
+    la::kernels::SetSimdLevel(level);
+    runs.push_back(model_->ExplainBatch(split_->test, nullptr, &one));
+    runs.push_back(model_->ExplainBatch(split_->test, nullptr, &eight));
+  }
+  la::kernels::SetSimdLevel(ambient);
+
+  const std::vector<core::Explanation>& reference = runs.front();
+  ASSERT_EQ(reference.size(), split_->test.size());
+  size_t units = 0;
+  for (size_t r = 1; r < runs.size(); ++r) {
+    ASSERT_EQ(runs[r].size(), reference.size());
+    for (size_t i = 0; i < reference.size(); ++i) {
+      const core::Explanation& a = reference[i];
+      const core::Explanation& b = runs[r][i];
+      EXPECT_EQ(std::memcmp(&a.probability, &b.probability, sizeof(double)),
+                0)
+          << "run " << r << " record " << i;
+      ASSERT_EQ(a.units.size(), b.units.size());
+      for (size_t u = 0; u < a.units.size(); ++u) {
+        EXPECT_EQ(std::memcmp(&a.units[u].relevance, &b.units[u].relevance,
+                              sizeof(double)),
+                  0)
+            << "run " << r << " record " << i << " unit " << u;
+        EXPECT_EQ(std::memcmp(&a.units[u].impact, &b.units[u].impact,
+                              sizeof(double)),
+                  0)
+            << "run " << r << " record " << i << " unit " << u;
+      }
+      units += a.units.size();
+    }
+  }
+  EXPECT_GT(units, 0u);
+}
+
 }  // namespace
 }  // namespace wym

@@ -2,7 +2,11 @@
 
 #include <cmath>
 #include <sstream>
+#include <string>
+#include <utility>
+#include <vector>
 
+#include "core/relevance_scorer.h"
 #include "core/wym.h"
 #include "data/benchmark_gen.h"
 #include "data/split.h"
@@ -116,6 +120,86 @@ TEST(MlpSerdeTest, RoundTripPredictsIdentically) {
     EXPECT_DOUBLE_EQ(restored.Predict(x.RowVector(i)),
                      original.Predict(x.RowVector(i)));
   }
+}
+
+/// A hand-built mlp/v1 payload: one (rows x cols) layer per entry, every
+/// weight `fill`, every bias 0, no output clamp.
+std::string MlpPayload(bool fitted, uint64_t input_dim,
+                       const std::vector<std::pair<size_t, size_t>>& layers,
+                       double fill = 0.5) {
+  std::ostringstream out;
+  serde::Serializer s(&out);
+  s.Tag("mlp/v1");
+  s.Bool(fitted);
+  s.Bool(false);
+  s.U64(input_dim);
+  s.U64(layers.size());
+  for (const auto& [rows, cols] : layers) {
+    la::Matrix(rows, cols, fill).Save(&s);
+    s.VecF64(std::vector<double>(rows, 0.0));
+  }
+  return out.str();
+}
+
+bool LoadMlp(const std::string& payload, nn::Mlp* mlp) {
+  std::istringstream in(payload);
+  serde::Deserializer d(&in);
+  return mlp->Load(&d);
+}
+
+TEST(MlpSerdeTest, LoadRejectsLayerShapesThatDoNotChain) {
+  nn::Mlp mlp;
+  // 4 -> 3 -> 1 connects: on all-ones input each hidden cell is
+  // 4 * 0.5 = 2 and the output 3 * 0.5 * 2 = 3.
+  ASSERT_TRUE(LoadMlp(MlpPayload(true, 4, {{3, 4}, {1, 3}}), &mlp));
+  EXPECT_EQ(mlp.Predict({1.0, 1.0, 1.0, 1.0}), 3.0);
+
+  // Layer 0 narrower than the input: the forward pass would read past
+  // the end of each weight row.
+  EXPECT_FALSE(LoadMlp(MlpPayload(true, 4, {{3, 2}, {1, 3}}), &mlp));
+  // Layer 0 wider than the input.
+  EXPECT_FALSE(LoadMlp(MlpPayload(true, 4, {{3, 5}, {1, 3}}), &mlp));
+  // Layer 1 does not read layer 0's width.
+  EXPECT_FALSE(LoadMlp(MlpPayload(true, 4, {{3, 4}, {1, 2}}), &mlp));
+  // Two outputs.
+  EXPECT_FALSE(LoadMlp(MlpPayload(true, 4, {{3, 4}, {2, 3}}), &mlp));
+  // A fitted network without layers.
+  EXPECT_FALSE(LoadMlp(MlpPayload(true, 4, {}), &mlp));
+  // A rejected payload leaves the loaded network untouched.
+  EXPECT_EQ(mlp.Predict({1.0, 1.0, 1.0, 1.0}), 3.0);
+}
+
+TEST(ScorerSerdeTest, LoadRejectsUnknownKind) {
+  // Kinds 0-2 exist; any other value would leave Score with no rule.
+  for (uint64_t kind : {uint64_t{2}, uint64_t{3}}) {
+    std::ostringstream out;
+    serde::Serializer s(&out);
+    s.Tag("scorer/v1");
+    s.U64(kind);
+    s.F64(0.55);
+    s.F64(0.45);
+    s.Bool(true);   // fitted
+    s.Bool(false);  // no network
+    std::istringstream in(out.str());
+    serde::Deserializer d(&in);
+    core::RelevanceScorer scorer;
+    EXPECT_EQ(scorer.Load(&d), kind == 2) << kind;
+  }
+}
+
+TEST(MatrixSerdeTest, LoadRejectsRowsTimesColsOverflow) {
+  // 2^32 x 2^32 wraps to 0 in 64 bits, which an empty data vector
+  // would otherwise match.
+  std::ostringstream out;
+  serde::Serializer s(&out);
+  s.Tag("matrix/v1");
+  s.U64(uint64_t{1} << 32);
+  s.U64(uint64_t{1} << 32);
+  s.VecF64({});
+  std::istringstream in(out.str());
+  serde::Deserializer d(&in);
+  la::Matrix matrix;
+  EXPECT_FALSE(matrix.Load(&d));
 }
 
 // Every pool member must round-trip through SaveState/LoadState with
