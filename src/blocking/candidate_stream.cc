@@ -348,7 +348,7 @@ std::vector<TableMatch> MatchTables(const core::WymModel& model,
       << "model was trained on a different schema";
 
   CandidateStreamOptions stream_options = options.stream;
-  stream_options.encoder = options.use_lsh ? &model.encoder() : nullptr;
+  stream_options.encoder = &model.encoder();
   CandidateStream stream(left, right, stream_options, pool);
 
   if (stats != nullptr) *stats = MatchTablesStats{};

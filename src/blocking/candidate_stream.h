@@ -119,9 +119,8 @@ struct TableMatch {
 /// Options for MatchTables.
 struct MatchTablesOptions {
   /// Candidate generation; `encoder` is overridden with the model's own
-  /// fitted encoder (set `use_lsh` false to opt out of the LSH stage).
+  /// fitted encoder, so the LSH stage always runs.
   CandidateStreamOptions stream;
-  bool use_lsh = true;
   /// Keep matches at or above this probability.
   double min_probability = 0.5;
   /// Candidate pairs per PredictProbaBatch call (the scoring-side

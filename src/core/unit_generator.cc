@@ -96,27 +96,6 @@ TokenRef MakeRef(const TokenizedEntity& entity, size_t flat_index) {
 DecisionUnitGenerator::DecisionUnitGenerator(UnitGeneratorOptions options)
     : options_(std::move(options)) {}
 
-double DecisionUnitGenerator::Similarity(const TokenizedEntity& left,
-                                         size_t left_index,
-                                         const TokenizedEntity& right,
-                                         size_t right_index) const {
-  for (const PairingRule& rule : options_.rules) {
-    if (!rule(left.tokens[left_index], right.tokens[right_index])) {
-      return -1.0;  // Vetoed: below any threshold.
-    }
-  }
-  if (options_.similarity == PairingSimilarity::kJaroWinkler) {
-    return text::JaroWinklerSimilarity(left.tokens[left_index],
-                                       right.tokens[right_index]);
-  }
-  WYM_CHECK_EQ(left.embeddings.size(), left.tokens.size())
-      << "embeddings missing on the left entity";
-  WYM_CHECK_EQ(right.embeddings.size(), right.tokens.size())
-      << "embeddings missing on the right entity";
-  return la::Cosine(left.embeddings[left_index],
-                    right.embeddings[right_index]);
-}
-
 la::Matrix DecisionUnitGenerator::PairSimilarityMatrix(
     const TokenizedEntity& left, const TokenizedEntity& right) const {
   la::Matrix sim(left.size(), right.size());

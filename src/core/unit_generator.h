@@ -85,11 +85,6 @@ class DecisionUnitGenerator {
   const UnitGeneratorOptions& options() const { return options_; }
 
  private:
-  /// Reference per-cell similarity (rules veto, then Jaro-Winkler or
-  /// full cosine). PairSimilarityMatrix is the batched equivalent.
-  double Similarity(const TokenizedEntity& left, size_t left_index,
-                    const TokenizedEntity& right, size_t right_index) const;
-
   UnitGeneratorOptions options_;
 };
 

@@ -16,8 +16,8 @@ namespace {
 // ---------------------------------------------------------------------
 // Portable scalar implementations. These define the reference
 // accumulation order: 8 partial sums (index mod 8, increasing index
-// within each), collapsed in one fixed tree. The SIMD paths reproduce
-// this order lane-for-lane, so all paths are bit-identical.
+// within each), collapsed in one fixed tree. The AVX2 path reproduces
+// this order lane-for-lane, so both paths are bit-identical.
 // ---------------------------------------------------------------------
 
 inline double Reduce8(const double* s) {
@@ -105,7 +105,7 @@ int32_t DotI8Scalar(const int8_t* a, const int8_t* b, size_t n) {
   return acc;
 }
 
-// Reference quantization order: the SIMD paths perform the exact same
+// Reference quantization order: the AVX2 path performs the exact same
 // per-element float multiply, half-away-from-zero adjust (add
 // copysign(0.5f, v)), saturation clamp in float, and truncating
 // conversion — so codes are byte-identical at every level. The clamp
@@ -154,8 +154,6 @@ const internal::KernelTable* TableFor(SimdLevel level) {
   switch (level) {
     case SimdLevel::kAvx2:
       return internal::Avx2Kernels();
-    case SimdLevel::kSse2:
-      return internal::Sse2Kernels();
     case SimdLevel::kScalar:
       return internal::ScalarKernels();
   }
@@ -174,13 +172,11 @@ Dispatch ResolveAtOrBelow(SimdLevel requested) {
 
 SimdLevel EnvRequestedLevel() {
   const char* raw = std::getenv("WYM_SIMD");
-  if (raw == nullptr) return SimdLevel::kAvx2;  // "auto": best available.
-  if (std::strcmp(raw, "off") == 0 || std::strcmp(raw, "scalar") == 0) {
+  if (raw != nullptr &&
+      (std::strcmp(raw, "off") == 0 || std::strcmp(raw, "scalar") == 0)) {
     return SimdLevel::kScalar;
   }
-  if (std::strcmp(raw, "sse2") == 0) return SimdLevel::kSse2;
-  if (std::strcmp(raw, "avx2") == 0) return SimdLevel::kAvx2;
-  return SimdLevel::kAvx2;  // Unknown value: behave like "auto".
+  return SimdLevel::kAvx2;  // "avx2", unset or unknown: best available.
 }
 
 std::atomic<const internal::KernelTable*> g_table{nullptr};
@@ -221,8 +217,6 @@ const char* SimdLevelName(SimdLevel level) {
   switch (level) {
     case SimdLevel::kScalar:
       return "scalar";
-    case SimdLevel::kSse2:
-      return "sse2";
     case SimdLevel::kAvx2:
       return "avx2";
   }

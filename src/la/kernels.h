@@ -7,33 +7,31 @@
 /// \file
 /// Vectorized inner-loop kernels with runtime SIMD dispatch.
 ///
-/// Every kernel is implemented three times — portable scalar, SSE2 and
-/// AVX2 — and all paths are **bit-identical**: reductions accumulate
-/// into a fixed set of 8 partial sums (partial sum k holds the elements
-/// whose index is congruent to k mod 8, added in increasing index
-/// order) and collapse them in one fixed tree order, so the result does
-/// not depend on the selected path, the vector width, or the thread
-/// count. Products of float inputs are formed in double (exact) and
+/// Every kernel is implemented twice — portable scalar and AVX2 — and
+/// both paths are **bit-identical**: reductions accumulate into a fixed
+/// set of 8 partial sums (partial sum k holds the elements whose index
+/// is congruent to k mod 8, added in increasing index order) and
+/// collapse them in one fixed tree order, so the result does not
+/// depend on the selected path, the vector width, or the thread count.
+/// Products of float inputs are formed in double (exact) and
 /// accumulated in double, matching the precision of the scalar code the
 /// kernels replaced. The kernel translation units are compiled with
 /// `-ffp-contract=off` so no path silently fuses multiply-add.
 ///
-/// The path is chosen once per process: `WYM_SIMD=avx2|sse2|off`
-/// overrides the default (the best level compiled in and supported by
-/// the CPU). An unavailable request falls back to the best available
-/// level at or below it. See DESIGN.md "Kernel layer & runtime
-/// dispatch".
+/// The path is chosen once per process: the best level compiled in
+/// and supported by the CPU, unless `WYM_SIMD=off` forces scalar
+/// (`avx2` and unknown values mean the default). See DESIGN.md "Kernel
+/// layer & runtime dispatch".
 
 namespace wym::la::kernels {
 
 /// Dispatchable implementation levels, in increasing capability.
 enum class SimdLevel {
   kScalar = 0,
-  kSse2 = 1,
-  kAvx2 = 2,
+  kAvx2 = 1,
 };
 
-/// Printable name ("scalar" / "sse2" / "avx2").
+/// Printable name ("scalar" / "avx2").
 const char* SimdLevelName(SimdLevel level);
 
 /// Best level compiled into this binary and supported by this CPU.
@@ -85,16 +83,16 @@ void SimilarityMatrix(const float* a, size_t a_rows, const float* b,
 /// 8 partial sums and Reduce8 tree; the paths differ only in how many
 /// cells share one pass over the data (AVX2 register-tiles 4). Each
 /// cell is therefore bit-identical to bias[o] + Dot(w_o, x_r, in) at
-/// every level.
+/// both levels.
 void DenseLayer(const double* x, size_t rows, size_t in, const double* w,
                 const double* bias, size_t n_out, bool relu, double* out);
 
 // ---------------------------------------------------------------------
 // Quantized int8 tier. Symmetric per-row scaling: a float row maps to
-// int8 codes q[i] plus one float scale with x[i] ≈ q[i] * scale. Unlike
-// the float kernels above (bit-identical *per level*, levels distinct),
-// the int8 kernels accumulate in int32 — exact and associative — so
-// every dispatch level produces identical results for identical inputs.
+// int8 codes q[i] plus one float scale with x[i] ≈ q[i] * scale. Like
+// the float kernels above, results are identical at both dispatch
+// levels; here that needs no pinned order, because the int8 kernels
+// accumulate in int32, which is exact and associative.
 // ---------------------------------------------------------------------
 
 /// Quantizes `n_rows` row-major float rows of width `dim` into
@@ -155,10 +153,8 @@ struct KernelTable {
 
 /// Scalar table (always available).
 const KernelTable* ScalarKernels();
-/// SSE2 table, or nullptr when not compiled for this target.
-const KernelTable* Sse2Kernels();
-/// AVX2 table, or nullptr when the AVX2 TU was not built (WYM_NATIVE=OFF
-/// or unsupported compiler).
+/// AVX2 table, or nullptr when the compiler lacks -mavx2 (the AVX2 TU
+/// is then not built).
 const KernelTable* Avx2Kernels();
 
 }  // namespace internal

@@ -1,8 +1,8 @@
-// AVX2 kernel path. Compiled with -mavx2 only when the CMake option
-// WYM_NATIVE is ON and the compiler supports the flag (the dispatcher
-// additionally checks CPU support at runtime before selecting it).
+// AVX2 kernel path. Compiled with -mavx2 whenever the compiler supports
+// the flag (the dispatcher additionally checks CPU support at runtime
+// before selecting it).
 //
-// Bit-identity with the scalar/SSE2 paths: the 8 partial sums of the
+// Bit-identity with the scalar path: the 8 partial sums of the
 // reference accumulation order live in two 4-lane double accumulators,
 // added in the same per-lane order and collapsed with the same fixed
 // tree. Float products are widened to double before multiplying
@@ -259,8 +259,8 @@ void DenseF64Avx2(const double* x, size_t rows, size_t in, const double* w,
 
 // Int8 dot via the signed path: _mm256_cvtepi8_epi16 sign-extension +
 // _mm256_madd_epi16. Deliberately avoids _mm256_maddubs_epi16 (whose
-// unsigned×signed int16 saturation could differ from the scalar/SSE2
-// totals) so every level produces identical int32 partials. Integer
+// unsigned×signed int16 saturation could differ from the scalar
+// totals) so both levels produce identical int32 partials. Integer
 // accumulation is exact, so lane layout never matters.
 int32_t DotI8Avx2(const int8_t* a, const int8_t* b, size_t n) {
   // Two accumulators break the add dependency chain in the main loop;

@@ -15,8 +15,8 @@
 ///
 /// Table-driven software implementation (slice-by-1): persistence is a
 /// cold path, so simplicity and portability win over a hardware SSE4.2
-/// path — and keeping it scalar keeps intrinsics confined to the kernel
-/// TUs (wym-lint `simd-outside-kernels`).
+/// path — and keeping it scalar keeps intrinsics confined to the AVX2
+/// kernel TU (wym-lint `simd-outside-kernels`).
 
 namespace wym::crc32c {
 

@@ -656,14 +656,11 @@ void CheckUsingNamespaceHeader(const FileCtx& ctx, std::vector<Finding>* out) {
 // Project-hygiene checks
 // --------------------------------------------------------------------------
 
-/// simd-outside-kernels: intrinsics live only in the per-level kernel
-/// TUs so the runtime dispatcher remains the single source of SIMD truth
-/// (and the rest of the tree stays portable).
+/// simd-outside-kernels: intrinsics live only in the AVX2 kernel TU so
+/// the runtime dispatcher remains the single source of SIMD truth (and
+/// the rest of the tree, the scalar kernels included, stays portable).
 void CheckSimdOutsideKernels(const FileCtx& ctx, std::vector<Finding>* out) {
-  if (ctx.path == "src/la/kernels_sse2.cc" ||
-      ctx.path == "src/la/kernels_avx2.cc") {
-    return;
-  }
+  if (ctx.path == "src/la/kernels_avx2.cc") return;
   static const char* kIncludes[] = {"immintrin.h", "emmintrin.h",
                                     "xmmintrin.h", "smmintrin.h",
                                     "tmmintrin.h", "avxintrin.h",
@@ -676,8 +673,8 @@ void CheckSimdOutsideKernels(const FileCtx& ctx, std::vector<Finding>* out) {
         if (code.find(inc) != std::string::npos) {
           Emit(ctx, i, "simd-outside-kernels",
                std::string("#include <") + inc +
-                   "> outside the kernel TUs; add a la::kernels entry point "
-                   "instead",
+                   "> outside src/la/kernels_avx2.cc; add a la::kernels "
+                   "entry point instead",
                out);
           break;
         }
@@ -700,7 +697,7 @@ void CheckSimdOutsideKernels(const FileCtx& ctx, std::vector<Finding>* out) {
     }
     if (hit) {
       Emit(ctx, i, "simd-outside-kernels",
-           "SIMD intrinsics outside src/la/kernels_{sse2,avx2}.cc; add a "
+           "SIMD intrinsics outside src/la/kernels_avx2.cc; add a "
            "la::kernels entry point instead",
            out);
     }

@@ -1,6 +1,7 @@
 #!/bin/sh
 # End-to-end smoke test of the wym_cli binary: generate -> profile ->
-# train (+save) -> explain (load) -> stats -> verify, plus the exit-code
+# train (+save) -> explain (load) -> stats -> verify, byte-identical
+# models and explanations under WYM_SIMD=off, plus the exit-code
 # contract (1 = usage, 2 = I/O error, 3 = corruption). Run by ctest with
 # the CLI path as $1 and (optionally) the wym_lint path as $2, which
 # enables the analyzer's own exit-code contract checks (0 = clean,
@@ -12,6 +13,9 @@ CLI="$1"
 LINT="$2"
 SERVE="$3"
 WORK="$(mktemp -d)"
+# Default kernel dispatch throughout; the SIMD determinism step below
+# pins WYM_SIMD=off explicitly.
+unset WYM_SIMD
 # A failing check exits mid-scenario: stop any server still running.
 trap 'kill ${SERVE_PID:-} ${SERVE2_PID:-} 2>/dev/null || true; rm -rf "$WORK"' EXIT
 
@@ -31,6 +35,18 @@ test -s "$WORK/model.wym"
 
 "$CLI" explain --data "$WORK/data.csv" --record 2 --model "$WORK/model.wym" \
   --json | grep -q '"units"'
+
+# WYM_SIMD determinism, read at process start: training and explaining
+# under the scalar kernels give the same bytes as under the default
+# dispatch.
+WYM_SIMD=off "$CLI" train-eval --data "$WORK/data.csv" \
+  --save "$WORK/model_scalar.wym" > /dev/null
+cmp "$WORK/model.wym" "$WORK/model_scalar.wym"
+"$CLI" explain --data "$WORK/data.csv" --record 2 --model "$WORK/model.wym" \
+  --json > "$WORK/explain_default.json"
+WYM_SIMD=off "$CLI" explain --data "$WORK/data.csv" --record 2 \
+  --model "$WORK/model.wym" --json > "$WORK/explain_scalar.json"
+cmp "$WORK/explain_default.json" "$WORK/explain_scalar.json"
 
 # WYM_TRACE: the span trace written at exit is a valid trace_event file.
 WYM_TRACE="$WORK/trace.json" "$CLI" explain --data "$WORK/data.csv" \

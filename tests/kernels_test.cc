@@ -1,5 +1,5 @@
-// Tests of the SIMD kernel layer (la/kernels.h): bit-identity of every
-// dispatch path (scalar vs SSE2 vs AVX2) on randomized inputs, the
+// Tests of the SIMD kernel layer (la/kernels.h): bit-identity of both
+// dispatch paths (scalar vs AVX2) on randomized inputs, the
 // WYM_SIMD environment contract, and the end-to-end guarantee that the
 // selected path does not change pipeline outputs — identical decision
 // units and byte-identical trained model files.
@@ -54,8 +54,7 @@ class ScopedSimdLevel {
 std::vector<SimdLevel> AvailableLevels() {
   std::vector<SimdLevel> levels = {SimdLevel::kScalar};
   const SimdLevel detected = la::kernels::DetectedSimdLevel();
-  if (detected >= SimdLevel::kSse2) levels.push_back(SimdLevel::kSse2);
-  if (detected >= SimdLevel::kAvx2) levels.push_back(SimdLevel::kAvx2);
+  if (detected != SimdLevel::kScalar) levels.push_back(detected);
   return levels;
 }
 
@@ -78,26 +77,22 @@ std::vector<double> RandomF64(Rng* rng, size_t n) {
 TEST(KernelDispatchTest, DetectedLevelIsAtLeastScalar) {
   EXPECT_GE(la::kernels::DetectedSimdLevel(), SimdLevel::kScalar);
   EXPECT_STREQ(la::kernels::SimdLevelName(SimdLevel::kScalar), "scalar");
-  EXPECT_STREQ(la::kernels::SimdLevelName(SimdLevel::kSse2), "sse2");
   EXPECT_STREQ(la::kernels::SimdLevelName(SimdLevel::kAvx2), "avx2");
 }
 
 TEST(KernelDispatchTest, ActiveLevelRespectsWymSimdEnv) {
   // The suite runs twice under ctest: once with the default dispatch
-  // and once with WYM_SIMD=off. SetSimdLevel-based tests override the
-  // active level, so this is the one place the env resolution itself is
-  // asserted. Restore whatever a previous test left active first.
-  la::kernels::SetSimdLevel(la::kernels::DetectedSimdLevel());
+  // and once with WYM_SIMD=off. Every test that switches levels puts
+  // the previous one back through ScopedSimdLevel, so the active level
+  // here is the one WYM_SIMD resolved to at startup.
   const char* env = std::getenv("WYM_SIMD");
-  if (env != nullptr && std::strcmp(env, "off") == 0) {
-    // ctest scalar re-run: forcing anything above scalar must still work,
-    // but the env-resolved startup level was scalar (checked indirectly:
-    // resolution happened before this test could interfere).
-    EXPECT_EQ(la::kernels::SetSimdLevel(SimdLevel::kScalar),
-              SimdLevel::kScalar);
-  }
-  EXPECT_EQ(la::kernels::SetSimdLevel(SimdLevel::kAvx2),
-            la::kernels::DetectedSimdLevel());
+  const bool off = env != nullptr && (std::strcmp(env, "off") == 0 ||
+                                      std::strcmp(env, "scalar") == 0);
+  EXPECT_EQ(la::kernels::ActiveSimdLevel(),
+            off ? SimdLevel::kScalar : la::kernels::DetectedSimdLevel());
+  // Forcing the best level still works under either setting.
+  ScopedSimdLevel guard(SimdLevel::kAvx2);
+  EXPECT_EQ(la::kernels::ActiveSimdLevel(), la::kernels::DetectedSimdLevel());
 }
 
 TEST(KernelDispatchTest, SetSimdLevelClampsToDetected) {

@@ -387,6 +387,9 @@ TEST(SimdCheckTest, IntrinsicsConfinedToKernelTus) {
       Scan("src/la/kernels_avx2.cc",
            "#include <immintrin.h>\n__m256d v = _mm256_setzero_pd();\n"),
       "simd-outside-kernels"));
+  // The scalar kernel TU is the portable reference: no intrinsics.
+  EXPECT_TRUE(HasCheck(Scan("src/la/kernels.cc", "#include <immintrin.h>\n"),
+                       "simd-outside-kernels"));
 }
 
 TEST(SimdCheckTest, Int8IntrinsicsAndHeadersCoveredOutsideKernels) {
@@ -404,10 +407,10 @@ TEST(SimdCheckTest, Int8IntrinsicsAndHeadersCoveredOutsideKernels) {
                        "simd-outside-kernels"));
   EXPECT_TRUE(HasCheck(Scan("src/core/x.cc", "#include <pmmintrin.h>\n"),
                        "simd-outside-kernels"));
-  // The kernel TUs themselves stay exempt for the int8 intrinsics too.
+  // The AVX2 kernel TU stays exempt for the int8 intrinsics too.
   EXPECT_FALSE(HasCheck(
-      Scan("src/la/kernels_sse2.cc",
-           "__m128i s = _mm_madd_epi16(_mm_srai_epi16(v, 8), w);\n"),
+      Scan("src/la/kernels_avx2.cc",
+           "__m256i s = _mm256_madd_epi16(_mm256_cvtepi8_epi16(v), w);\n"),
       "simd-outside-kernels"));
   ScanStats stats;
   EXPECT_FALSE(HasCheck(
