@@ -22,6 +22,7 @@
 #include "la/kernels.h"
 #include "la/vector_ops.h"
 #include "nn/mlp.h"
+#include "embedding/context_mixer.h"
 #include "embedding/semantic_encoder.h"
 #include "matching/stable_marriage.h"
 #include "text/string_metrics.h"
@@ -31,6 +32,19 @@
 namespace {
 
 using namespace wym;
+
+/// Unit-normalized row-major packing of `rows` (core::PackUnitRows over
+/// the flattened rows).
+la::Vec PackRows(const std::vector<la::Vec>& rows) {
+  const size_t dim = rows.empty() ? 0 : rows.front().size();
+  la::Vec flat;
+  for (const la::Vec& row : rows) {
+    flat.insert(flat.end(), row.begin(), row.end());
+  }
+  la::Vec packed;
+  core::PackUnitRows(flat.data(), rows.size(), dim, &packed, nullptr);
+  return packed;
+}
 
 void BM_StableMarriage(benchmark::State& state) {
   const size_t n = static_cast<size_t>(state.range(0));
@@ -78,6 +92,53 @@ void BM_EncodeTokens(benchmark::State& state) {
 }
 BENCHMARK(BM_EncodeTokens);
 
+void BM_ContextMix(benchmark::State& state) {
+  // One entity's context-mixing block: n unit rows of the production
+  // encoder width (32 + 16 + 8).
+  const size_t n = static_cast<size_t>(state.range(0));
+  const size_t dim = 56;
+  Rng rng(14);
+  std::vector<la::Vec> rows(n, la::Vec(dim));
+  for (la::Vec& row : rows) {
+    for (float& v : row) v = static_cast<float>(rng.Uniform(-1, 1));
+  }
+  const la::Vec base = PackRows(rows);
+  la::Vec out(n * dim);
+  const embedding::ContextMixer mixer;
+  for (auto _ : state) {
+    mixer.Mix(base.data(), n, dim, out.data());
+    benchmark::DoNotOptimize(out.data());
+  }
+}
+BENCHMARK(BM_ContextMix)->Arg(6)->Arg(25)->Arg(64);
+
+void BM_EncodeEntity(benchmark::State& state) {
+  // Tokenize once, then encode + pack one long T-AB entity per
+  // iteration with a corpus-fitted encoder: the memo's frozen tier
+  // serves the training vocabulary, the FIFO tier the rest.
+  const data::Dataset dataset = data::GenerateById("T-AB", 42, 0.1);
+  const text::Tokenizer tokenizer;
+  std::vector<core::TokenizedRecord> records;
+  std::vector<std::vector<std::string>> corpus;
+  for (const data::EmRecord& record : dataset.records) {
+    records.push_back(core::TokenizeRecord(record, dataset.schema, tokenizer));
+    corpus.push_back(records.back().left.tokens);
+    corpus.push_back(records.back().right.tokens);
+  }
+  embedding::SemanticEncoderOptions options;
+  options.hash_dim = 32;
+  options.cooc_dim = 16;
+  embedding::SemanticEncoder encoder(options);
+  encoder.Fit(corpus);
+  core::TokenizedEntity entity = records.front().left;
+  for (auto _ : state) {
+    core::EncodeEntity(encoder, &entity);
+    benchmark::DoNotOptimize(entity.packed_embeddings.data());
+  }
+  state.counters["tokens"] = static_cast<double>(entity.size());
+}
+BENCHMARK(BM_EncodeEntity);
+
 void BM_Dot(benchmark::State& state) {
   const size_t n = static_cast<size_t>(state.range(0));
   Rng rng(11);
@@ -123,9 +184,8 @@ void BM_SimilarityMatrix(benchmark::State& state) {
       right[i][j] = static_cast<float>(rng.Uniform(-1, 1));
     }
   }
-  la::Vec packed_left, packed_right;
-  core::PackUnitRows(left, &packed_left, nullptr);
-  core::PackUnitRows(right, &packed_right, nullptr);
+  const la::Vec packed_left = PackRows(left);
+  const la::Vec packed_right = PackRows(right);
   std::vector<double> out(rows * rows);
   for (auto _ : state) {
     la::kernels::SimilarityMatrix(packed_left.data(), rows,
@@ -151,8 +211,7 @@ QuantizedBenchRows MakeQuantizedRows(Rng* rng, size_t rows, size_t dim) {
       source[i][j] = static_cast<float>(rng->Uniform(-1, 1));
     }
   }
-  la::Vec packed;
-  core::PackUnitRows(source, &packed, nullptr);
+  const la::Vec packed = PackRows(source);
   QuantizedBenchRows out;
   core::QuantizeUnitRows(packed.data(), rows, dim, &out.q, &out.scales);
   return out;
@@ -183,8 +242,7 @@ void BM_QuantizeRows(benchmark::State& state) {
       source[i][j] = static_cast<float>(rng.Uniform(-1, 1));
     }
   }
-  la::Vec packed;
-  core::PackUnitRows(source, &packed, nullptr);
+  const la::Vec packed = PackRows(source);
   std::vector<int8_t> q(rows * dim);
   std::vector<float> scales(rows);
   for (auto _ : state) {
@@ -228,9 +286,8 @@ void BM_SimilarityMatrixDim(benchmark::State& state) {
       right[i][j] = static_cast<float>(rng.Uniform(-1, 1));
     }
   }
-  la::Vec packed_left, packed_right;
-  core::PackUnitRows(left, &packed_left, nullptr);
-  core::PackUnitRows(right, &packed_right, nullptr);
+  const la::Vec packed_left = PackRows(left);
+  const la::Vec packed_right = PackRows(right);
   std::vector<double> out(rows * rows);
   for (auto _ : state) {
     la::kernels::SimilarityMatrix(packed_left.data(), rows,

@@ -45,22 +45,15 @@ std::vector<double> DittoMatcher::Features(
   // ...plus the fine-tuned encoder's pooled-embedding similarities:
   // whole-record cosine and per-attribute pooled cosines (the serialized
   // transformer view of the pair).
-  const auto left_tokens = AllTokens(record.left);
-  const auto right_tokens = AllTokens(record.right);
-  const auto left_vecs = encoder_.EncodeTokens(left_tokens);
-  const auto right_vecs = encoder_.EncodeTokens(right_tokens);
-  const la::Vec left_pool = embedding::SemanticEncoder::PoolTokens(left_vecs);
-  const la::Vec right_pool =
-      embedding::SemanticEncoder::PoolTokens(right_vecs);
+  const la::Vec left_pool = encoder_.EncodePooled(AllTokens(record.left));
+  const la::Vec right_pool = encoder_.EncodePooled(AllTokens(record.right));
   features.push_back((left_pool.empty() || right_pool.empty())
                          ? 0.0
                          : la::Cosine(left_pool, right_pool));
 
   for (size_t a = 0; a < num_attributes_; ++a) {
-    const auto lv = encoder_.EncodeTokens(Tokens(record.left.values[a]));
-    const auto rv = encoder_.EncodeTokens(Tokens(record.right.values[a]));
-    const la::Vec lp = embedding::SemanticEncoder::PoolTokens(lv);
-    const la::Vec rp = embedding::SemanticEncoder::PoolTokens(rv);
+    const la::Vec lp = encoder_.EncodePooled(Tokens(record.left.values[a]));
+    const la::Vec rp = encoder_.EncodePooled(Tokens(record.right.values[a]));
     features.push_back((lp.empty() || rp.empty()) ? 0.0 : la::Cosine(lp, rp));
   }
   return features;
@@ -84,11 +77,10 @@ void DittoMatcher::Fit(const data::Dataset& train,
     std::vector<std::pair<la::Vec, la::Vec>> pairs;
     std::vector<int> labels;
     for (const auto& record : train.records) {
-      const auto lv = encoder_.EncodeTokens(AllTokens(record.left));
-      const auto rv = encoder_.EncodeTokens(AllTokens(record.right));
-      if (lv.empty() || rv.empty()) continue;
-      pairs.emplace_back(embedding::SemanticEncoder::PoolTokens(lv),
-                         embedding::SemanticEncoder::PoolTokens(rv));
+      la::Vec lp = encoder_.EncodePooled(AllTokens(record.left));
+      la::Vec rp = encoder_.EncodePooled(AllTokens(record.right));
+      if (lp.empty() || rp.empty()) continue;
+      pairs.emplace_back(std::move(lp), std::move(rp));
       labels.push_back(record.label);
     }
     encoder_.FitSiamese(pairs, labels);

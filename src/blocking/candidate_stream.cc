@@ -256,8 +256,7 @@ void CandidateStream::ProbeRow(size_t left_row, ProbeScratch* s,
   // 5. Embedding-LSH second stage: recovers matches sharing no surface
   // token; merged best-score-per-pair with the token candidates.
   if (lsh_ != nullptr && !s->doc_tokens.empty()) {
-    const la::Vec pooled = embedding::SemanticEncoder::PoolTokens(
-        options_.encoder->EncodeTokens(s->doc_tokens));
+    const la::Vec pooled = options_.encoder->EncodePooled(s->doc_tokens);
     s->lsh_out.clear();
     lsh_->Probe(left_row, pooled, &s->lsh_out);
     for (const CandidatePair& cand : s->lsh_out) {

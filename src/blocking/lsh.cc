@@ -44,7 +44,7 @@ la::Vec EmbeddingLsh::PoolRow(const data::Entity& row,
     }
   }
   if (tokens.empty()) return la::Vec();
-  return embedding::SemanticEncoder::PoolTokens(encoder_->EncodeTokens(tokens));
+  return encoder_->EncodePooled(tokens);
 }
 
 uint32_t EmbeddingLsh::Signature(const la::Vec& pooled, size_t table) const {

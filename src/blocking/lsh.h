@@ -67,8 +67,7 @@ class EmbeddingLsh {
              util::ThreadPool* pool = nullptr);
 
   /// Pooled unit embedding of one row (empty vector for a token-less
-  /// row): tokens in document order through EncodeTokens, then
-  /// PoolTokens.
+  /// row): tokens in document order through EncodePooled.
   la::Vec PoolRow(const data::Entity& row,
                   const text::Tokenizer& tokenizer) const;
 

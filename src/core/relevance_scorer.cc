@@ -26,21 +26,20 @@ std::string UnitKey(const DecisionUnit& unit) {
 /// Embedding width of a record's units, read from whichever side is
 /// encoded.
 size_t EmbeddingDim(const TokenizedRecord& record) {
-  WYM_CHECK(!record.left.embeddings.empty() ||
-            !record.right.embeddings.empty())
+  WYM_CHECK(record.left.HasEmbeddings() || record.right.HasEmbeddings())
       << "unit features need at least one encoded entity";
-  return record.left.embeddings.empty() ? record.right.embeddings[0].size()
-                                        : record.left.embeddings[0].size();
+  return record.left.HasEmbeddings() ? record.left.embedding_dim
+                                     : record.right.embedding_dim;
 }
 
-/// The embedding of token `index` on one side, or nullptr (the zero
-/// [UNP] embedding) when that side is not encoded.
+/// The raw embedding row of token `index` on one side, or nullptr (the
+/// zero [UNP] embedding) when that side is not encoded.
 const float* SideEmbedding(const TokenizedEntity& entity, size_t index,
                            size_t dim) {
-  if (entity.embeddings.empty()) return nullptr;
-  WYM_CHECK_LT(index, entity.embeddings.size());
-  WYM_CHECK_EQ(entity.embeddings[index].size(), dim);
-  return entity.embeddings[index].data();
+  if (!entity.HasEmbeddings()) return nullptr;
+  WYM_CHECK_LT(index, entity.size());
+  WYM_CHECK_EQ(entity.embedding_dim, dim);
+  return entity.EmbeddingRow(index);
 }
 
 /// The one feature writer: out[0, 2*dim) = mean ++ |diff| of the unit's

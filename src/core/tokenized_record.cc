@@ -1,7 +1,6 @@
 #include "core/tokenized_record.h"
 
 #include <cmath>
-#include <cstring>
 
 #include "la/kernels.h"
 #include "util/logging.h"
@@ -17,9 +16,9 @@ std::vector<size_t> TokenizedEntity::TokensOfAttribute(size_t attr) const {
 }
 
 TokenizedEntity TokenizeEntity(const data::Entity& entity,
-                               const data::Schema& schema,
+                               size_t num_attributes,
                                const text::Tokenizer& tokenizer) {
-  WYM_CHECK_EQ(entity.values.size(), schema.size());
+  WYM_CHECK_EQ(entity.values.size(), num_attributes);
   TokenizedEntity out;
   for (size_t attr = 0; attr < entity.values.size(); ++attr) {
     for (auto& token : tokenizer.Tokenize(entity.values[attr])) {
@@ -34,27 +33,22 @@ TokenizedRecord TokenizeRecord(const data::EmRecord& record,
                                const data::Schema& schema,
                                const text::Tokenizer& tokenizer) {
   TokenizedRecord out;
-  out.left = TokenizeEntity(record.left, schema, tokenizer);
-  out.right = TokenizeEntity(record.right, schema, tokenizer);
+  out.left = TokenizeEntity(record.left, schema.size(), tokenizer);
+  out.right = TokenizeEntity(record.right, schema.size(), tokenizer);
   out.label = record.label;
   return out;
 }
 
-size_t PackUnitRows(const std::vector<la::Vec>& embeddings, la::Vec* packed,
-                    std::vector<double>* norms) {
-  const size_t dim = embeddings.empty() ? 0 : embeddings.front().size();
-  packed->assign(embeddings.size() * dim, 0.0f);
-  if (norms != nullptr) norms->assign(embeddings.size(), 0.0);
-  for (size_t i = 0; i < embeddings.size(); ++i) {
-    const la::Vec& v = embeddings[i];
-    WYM_CHECK_EQ(v.size(), dim) << "ragged embedding dimensions on row " << i;
+void PackUnitRows(const float* rows, size_t n_rows, size_t dim,
+                  la::Vec* packed, std::vector<double>* norms) {
+  packed->assign(rows, rows + n_rows * dim);
+  if (norms != nullptr) norms->assign(n_rows, 0.0);
+  for (size_t i = 0; i < n_rows; ++i) {
     float* row = packed->data() + i * dim;
-    if (dim > 0) std::memcpy(row, v.data(), dim * sizeof(float));
     const double norm = std::sqrt(la::kernels::SquaredNorm(row, dim));
     if (norms != nullptr) (*norms)[i] = norm;
     if (norm > 0.0) la::kernels::Scale(1.0 / norm, row, dim);
   }
-  return dim;
 }
 
 void QuantizeUnitRows(const float* rows, size_t n_rows, size_t dim,
@@ -75,14 +69,18 @@ void QuantizeUnitRows(const float* rows, size_t n_rows, size_t dim,
 }
 
 void TokenizedEntity::PackEmbeddings() {
-  embedding_dim = PackUnitRows(embeddings, &packed_embeddings, &embedding_norms);
-  QuantizeUnitRows(packed_embeddings.data(), embeddings.size(), embedding_dim,
+  WYM_CHECK_EQ(raw_embeddings.size(), size() * embedding_dim)
+      << "raw embedding block does not hold one row per token";
+  PackUnitRows(raw_embeddings.data(), size(), embedding_dim,
+               &packed_embeddings, &embedding_norms);
+  QuantizeUnitRows(packed_embeddings.data(), size(), embedding_dim,
                    &quantized_embeddings, &quantized_scales, &quantized_l1);
 }
 
 void EncodeEntity(const embedding::SemanticEncoder& encoder,
                   TokenizedEntity* entity) {
-  entity->embeddings = encoder.EncodeTokens(entity->tokens);
+  entity->raw_embeddings = encoder.EncodeTokens(entity->tokens);
+  entity->embedding_dim = encoder.dim();
   entity->PackEmbeddings();
 }
 

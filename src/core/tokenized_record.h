@@ -24,18 +24,21 @@ struct TokenizedEntity {
   std::vector<std::string> tokens;
   /// Attribute index of each flat token.
   std::vector<size_t> attribute_of;
-  /// Contextual embedding of each flat token (empty until encoded).
-  std::vector<la::Vec> embeddings;
-  /// Unit-normalized copies of `embeddings`, packed row-major
-  /// (size() x embedding_dim) for the one-shot similarity-matrix kernel
-  /// of the decision-unit generator. Filled by PackEmbeddings /
-  /// EncodeEntity; all-zero embeddings stay all-zero rows.
+  /// The encoder's contextual embeddings, one row per flat token,
+  /// row-major (size() x embedding_dim); empty until encoded. The
+  /// relevance scorer's unit features read these raw rows.
+  la::Vec raw_embeddings;
+  /// Unit-normalized copies of the raw rows, same layout, for the
+  /// one-shot similarity-matrix kernel of the decision-unit generator.
+  /// Filled by PackEmbeddings / EncodeEntity; all-zero rows stay zero.
+  /// Both blocks are kept: the encoder's rows are unit vectors only up
+  /// to rounding, and re-normalizing them moves bits in some rows.
   la::Vec packed_embeddings;
-  /// Pre-normalization Euclidean norm of each embedding (the encoder
+  /// Pre-normalization Euclidean norm of each raw row (the encoder
   /// emits unit vectors, so these are ~1; they preserve the full cosine
   /// for entities built with arbitrary vectors).
   std::vector<double> embedding_norms;
-  /// Row width of `packed_embeddings` (0 until packed).
+  /// Row width of both blocks (0 until encoded).
   size_t embedding_dim = 0;
   /// Symmetric per-row int8 quantization of the packed unit rows
   /// (la::kernels::QuantizeRowsI8), cached at encode time next to the
@@ -53,22 +56,33 @@ struct TokenizedEntity {
   /// Flat indices of the tokens belonging to attribute `attr`.
   std::vector<size_t> TokensOfAttribute(size_t attr) const;
 
-  /// True when packed_embeddings is in sync with embeddings' shape.
-  bool HasPackedEmbeddings() const {
-    return !embeddings.empty() &&
-           packed_embeddings.size() == embeddings.size() * embedding_dim &&
-           embedding_norms.size() == embeddings.size();
+  /// True when the raw block holds one row per token. A side that is
+  /// not encoded reads as the zero [UNP] embedding in unit features.
+  bool HasEmbeddings() const {
+    return !raw_embeddings.empty() &&
+           raw_embeddings.size() == size() * embedding_dim;
   }
 
-  /// True when the quantized cache is in sync with embeddings' shape.
+  /// Raw embedding row of flat token `index`.
+  const float* EmbeddingRow(size_t index) const {
+    return raw_embeddings.data() + index * embedding_dim;
+  }
+
+  /// True when packed_embeddings is in sync with the raw block's shape.
+  bool HasPackedEmbeddings() const {
+    return HasEmbeddings() &&
+           packed_embeddings.size() == raw_embeddings.size() &&
+           embedding_norms.size() == size();
+  }
+
+  /// True when the quantized cache is in sync with the raw block's shape.
   bool HasQuantizedEmbeddings() const {
     return HasPackedEmbeddings() &&
-           quantized_embeddings.size() == embeddings.size() * embedding_dim &&
-           quantized_scales.size() == embeddings.size() &&
-           quantized_l1.size() == embeddings.size();
+           quantized_embeddings.size() == raw_embeddings.size() &&
+           quantized_scales.size() == size() && quantized_l1.size() == size();
   }
 
-  /// (Re)builds packed_embeddings + embedding_norms from `embeddings`
+  /// (Re)builds packed_embeddings + embedding_norms from the raw block
   /// (one unit-normalization per token at encode time, so every cosine
   /// downstream collapses to a dot product), then quantizes the unit
   /// rows into quantized_embeddings + quantized_scales for the int8
@@ -83,11 +97,11 @@ struct TokenizedRecord {
   int label = 0;
 };
 
-/// Packs `embeddings` into unit-normalized row-major float rows and
-/// returns the row width. `norms` (optional) receives each row's
-/// pre-normalization Euclidean norm. All-zero vectors stay all-zero.
-size_t PackUnitRows(const std::vector<la::Vec>& embeddings, la::Vec* packed,
-                    std::vector<double>* norms);
+/// Copies `n_rows` row-major float rows of width `dim` into `packed`
+/// (resized), unit-normalizing each. `norms` (optional) receives each
+/// row's pre-normalization Euclidean norm. All-zero rows stay all-zero.
+void PackUnitRows(const float* rows, size_t n_rows, size_t dim,
+                  la::Vec* packed, std::vector<double>* norms);
 
 /// Quantizes `n_rows` packed row-major float rows of width `dim` into
 /// int8 codes + per-row scales (resizing the outputs). Thin shape-aware
@@ -98,9 +112,10 @@ void QuantizeUnitRows(const float* rows, size_t n_rows, size_t dim,
                       std::vector<int8_t>* q, std::vector<float>* scales,
                       std::vector<float>* l1 = nullptr);
 
-/// Tokenizes one entity over `schema` (embeddings left empty).
+/// Tokenizes one entity of `num_attributes` values (embeddings left
+/// empty).
 TokenizedEntity TokenizeEntity(const data::Entity& entity,
-                               const data::Schema& schema,
+                               size_t num_attributes,
                                const text::Tokenizer& tokenizer);
 
 /// Tokenizes a full record.
@@ -108,7 +123,8 @@ TokenizedRecord TokenizeRecord(const data::EmRecord& record,
                                const data::Schema& schema,
                                const text::Tokenizer& tokenizer);
 
-/// Fills `entity->embeddings` with the encoder's contextual vectors.
+/// Fills the entity's raw block with the encoder's contextual rows,
+/// then packs it (PackEmbeddings).
 void EncodeEntity(const embedding::SemanticEncoder& encoder,
                   TokenizedEntity* entity);
 

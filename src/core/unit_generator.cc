@@ -47,15 +47,14 @@ std::vector<SmPair> GetSmPairs(const la::Matrix& sim_full,
   return out;
 }
 
-/// Unit-normalized packed rows of an entity's embeddings: reuses the
+/// Unit-normalized packed rows of an entity's raw block: reuses the
 /// encode-time packing when present, otherwise packs into `storage`.
 const float* PackedRows(const TokenizedEntity& entity, la::Vec* storage,
                         size_t* dim) {
-  if (entity.HasPackedEmbeddings()) {
-    *dim = entity.embedding_dim;
-    return entity.packed_embeddings.data();
-  }
-  *dim = PackUnitRows(entity.embeddings, storage, /*norms=*/nullptr);
+  *dim = entity.embedding_dim;
+  if (entity.HasPackedEmbeddings()) return entity.packed_embeddings.data();
+  PackUnitRows(entity.raw_embeddings.data(), entity.size(),
+               entity.embedding_dim, storage, /*norms=*/nullptr);
   return storage->data();
 }
 
@@ -79,7 +78,7 @@ void QuantizedRows(const TokenizedEntity& entity, const float* rows,
     *l1 = entity.quantized_l1.data();
     return;
   }
-  QuantizeUnitRows(rows, entity.embeddings.size(), dim, &storage->q,
+  QuantizeUnitRows(rows, entity.size(), dim, &storage->q,
                    &storage->scales, &storage->l1);
   *q = storage->q.data();
   *scales = storage->scales.data();
@@ -109,9 +108,8 @@ la::Matrix DecisionUnitGenerator::PairSimilarityMatrix(
       }
     }
   } else {
-    WYM_CHECK_EQ(left.embeddings.size(), left.tokens.size())
-        << "embeddings missing on the left entity";
-    WYM_CHECK_EQ(right.embeddings.size(), right.tokens.size())
+    WYM_CHECK(left.HasEmbeddings()) << "embeddings missing on the left entity";
+    WYM_CHECK(right.HasEmbeddings())
         << "embeddings missing on the right entity";
     if (options_.quantized) {
       // Int8 screen + exact refinement. One A * B^T kernel call over the

@@ -128,12 +128,14 @@ void WymModel::Fit(const data::Dataset& train,
     std::vector<std::pair<la::Vec, la::Vec>> pairs;
     std::vector<int> labels;
     for (const auto& record : train_tokens) {
-      if (record.left.embeddings.empty() || record.right.embeddings.empty()) {
+      if (!record.left.HasEmbeddings() || !record.right.HasEmbeddings()) {
         continue;
       }
-      pairs.emplace_back(
-          embedding::SemanticEncoder::PoolTokens(record.left.embeddings),
-          embedding::SemanticEncoder::PoolTokens(record.right.embeddings));
+      const auto pool = [](const TokenizedEntity& entity) {
+        return embedding::SemanticEncoder::PoolTokens(
+            entity.raw_embeddings.data(), entity.size(), entity.embedding_dim);
+      };
+      pairs.emplace_back(pool(record.left), pool(record.right));
       labels.push_back(record.label);
     }
     encoder_.FitSiamese(pairs, labels);
@@ -210,14 +212,17 @@ void WymModel::Fit(const data::Dataset& train,
 
 TokenizedRecord WymModel::Prepare(const data::EmRecord& record) const {
   WYM_CHECK(fitted_) << "WymModel used before Fit";
-  data::Schema schema;
-  schema.attributes.resize(num_attributes_);  // Names are not needed here.
-  WYM_CHECK_EQ(record.left.values.size(), num_attributes_);
-  WYM_CHECK_EQ(record.right.values.size(), num_attributes_);
-  TokenizedRecord tokenized = TokenizeRecord(record, schema, tokenizer_);
-  EncodeEntity(encoder_, &tokenized.left);
-  EncodeEntity(encoder_, &tokenized.right);
+  TokenizedRecord tokenized;
+  PrepareEntity(record.left, &tokenized.left);
+  PrepareEntity(record.right, &tokenized.right);
+  tokenized.label = record.label;
   return tokenized;
+}
+
+void WymModel::PrepareEntity(const data::Entity& entity,
+                             TokenizedEntity* out) const {
+  *out = TokenizeEntity(entity, num_attributes_, tokenizer_);
+  EncodeEntity(encoder_, out);
 }
 
 std::vector<DecisionUnit> WymModel::GenerateUnits(
@@ -239,10 +244,9 @@ double WymModel::PredictProbaFromUnits(const ScoredUnitSet& set) const {
   return proba;
 }
 
-Explanation WymModel::ExplainRecord(const data::EmRecord& record,
+Explanation WymModel::ExplainRecord(const TokenizedRecord& tokenized,
                                     bool with_units,
                                     std::string* reason) const {
-  const TokenizedRecord tokenized = Prepare(record);
   // Zero tokens on both sides means zero decision units: nothing to
   // decide on, so the record gets the non-match fallback.
   if (tokenized.left.tokens.empty() && tokenized.right.tokens.empty()) {
@@ -276,11 +280,12 @@ Explanation WymModel::ExplainRecord(const data::EmRecord& record,
 }
 
 double WymModel::PredictProba(const data::EmRecord& record) const {
-  return ExplainRecord(record, /*with_units=*/false, nullptr).probability;
+  return ExplainRecord(Prepare(record), /*with_units=*/false, nullptr)
+      .probability;
 }
 
 Explanation WymModel::Explain(const data::EmRecord& record) const {
-  return ExplainRecord(record, /*with_units=*/true, nullptr);
+  return ExplainRecord(Prepare(record), /*with_units=*/true, nullptr);
 }
 
 namespace {
@@ -352,19 +357,44 @@ std::vector<Explanation> WymModel::ExplainRecords(
   const bool timed = obs::MetricsEnabled();
   std::vector<Explanation> out(records.size());
   std::vector<std::string> reasons(records.size());
+  // Consecutive records with equal left values form one run, and a run
+  // prepares its left entity once: encoding is a pure function of the
+  // tokens, so every record of the run sees the bits its own Prepare
+  // would give. Runs are the parallel tasks; results still land by
+  // record index.
+  std::vector<size_t> run_begin;
+  for (size_t i = 0; i < records.size(); ++i) {
+    if (i == 0 || records[i].left.values != records[i - 1].left.values) {
+      run_begin.push_back(i);
+    }
+  }
+  const size_t runs = run_begin.size();
+  run_begin.push_back(records.size());
   util::ParallelFor(
-      records.size(), /*grain=*/1,
+      runs, /*grain=*/1,
       [&](size_t begin, size_t end, size_t) {
-        for (size_t i = begin; i < end; ++i) {
-          obs::SpanScope span(metrics.record_span);
-          const std::uint64_t t0 = timed ? obs::NowNanos() : 0;
-          out[i] = ExplainRecord(records[i], with_units, &reasons[i]);
-          if (timed) metrics.record_ns.Record(obs::NowNanos() - t0);
+        TokenizedRecord tokenized;
+        for (size_t run = begin; run < end; ++run) {
+          for (size_t i = run_begin[run]; i < run_begin[run + 1]; ++i) {
+            obs::SpanScope span(metrics.record_span);
+            const std::uint64_t t0 = timed ? obs::NowNanos() : 0;
+            if (i == run_begin[run]) {
+              PrepareEntity(records[i].left, &tokenized.left);
+            }
+            PrepareEntity(records[i].right, &tokenized.right);
+            tokenized.label = records[i].label;
+            out[i] = ExplainRecord(tokenized, with_units, &reasons[i]);
+            if (timed) metrics.record_ns.Record(obs::NowNanos() - t0);
+          }
         }
       },
       pool);
   FillReport(reasons, report);
   CountBatch(reasons, metrics);
+  // One add per batch: a left entity per run, a right entity per record.
+  static obs::Counter& entities =
+      obs::Registry::Global().GetCounter("explain.entities_prepared");
+  entities.Add(runs + records.size());
   return out;
 }
 
@@ -557,6 +587,8 @@ Result<WymModel> WymModel::LoadFromFile(const std::string& path,
   WYM_RETURN_IF_ERROR(load_component(
       *payload.value(), kSectionMatcher,
       [&model](serde::Deserializer* d) { return model.matcher_.Load(d); }));
+  // Only a model that validated whole pays for the frozen memo tier.
+  model.encoder_.FreezeVocabulary();
   model.fitted_ = true;
   return model;
 }

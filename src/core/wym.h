@@ -222,16 +222,22 @@ class WymModel : public Matcher {
   size_t num_attributes() const { return num_attributes_; }
 
  private:
+  /// Tokenizes + encodes one entity into `*out` (Prepare's per-side
+  /// step).
+  void PrepareEntity(const data::Entity& entity, TokenizedEntity* out) const;
+
   /// The record pipeline, EX(r) of paper §3.1, behind every entry
-  /// point: tokenize + encode once, then decision units, relevance
-  /// scores and the match probability; impacts and ExplainedUnits only
-  /// when `with_units`. A degenerate record yields the empty non-match
+  /// point, over a prepared record: decision units, relevance scores
+  /// and the match probability; impacts and ExplainedUnits only when
+  /// `with_units`. A degenerate record yields the empty non-match
   /// explanation and sets `*reason` (when non-null).
-  Explanation ExplainRecord(const data::EmRecord& record, bool with_units,
+  Explanation ExplainRecord(const TokenizedRecord& tokenized, bool with_units,
                             std::string* reason) const;
 
-  /// The one batch body: ExplainRecord over `records` in a ParallelFor,
-  /// traced and counted under `explain.*` (with_units) or `predict.*`.
+  /// The one batch body: Prepare + ExplainRecord over `records` in a
+  /// ParallelFor, traced and counted under `explain.*` (with_units) or
+  /// `predict.*`. A run of consecutive records with equal left values
+  /// prepares its left entity once (left-run reuse).
   std::vector<Explanation> ExplainRecords(
       std::span<const data::EmRecord> records, bool with_units,
       PredictionReport* report, util::ThreadPool* pool) const;

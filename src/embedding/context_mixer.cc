@@ -1,64 +1,79 @@
 #include "embedding/context_mixer.h"
 
+#include <algorithm>
 #include <cmath>
+#include <vector>
 
 #include "la/kernels.h"
+#include "la/vector_ops.h"
 
 namespace wym::embedding {
 
 ContextMixer::ContextMixer(Options options) : options_(options) {}
 
-std::vector<la::Vec> ContextMixer::Mix(const std::vector<la::Vec>& base) const {
-  if (base.size() < 2 || options_.blend <= 0.0) return base;
+void ContextMixer::Mix(const float* base, size_t n, size_t dim,
+                       float* out) const {
+  if (n < 2 || options_.blend <= 0.0) {
+    std::copy(base, base + n * dim, out);
+    return;
+  }
+  // Per-thread scratch: one re-normalized row, the rows widened to
+  // double, and the n x n cosines, which the softmax pass overwrites
+  // row by row with the weights.
+  thread_local std::vector<float> unit_row;
+  thread_local std::vector<double> wide_rows;
+  thread_local std::vector<double> weights;
+  thread_local std::vector<double> z;
+  unit_row.resize(dim);
+  wide_rows.resize(n * dim);
+  weights.resize(n * n);
+  z.resize(n);
 
-  // Precompute pairwise cosine similarities with one flat kernel pass.
   // The inputs are unit vectors (BaseEmbed normalizes), but Mix is a
-  // public API, so rows are re-normalized while packing — cosine is
-  // scale-invariant, and all-zero rows stay zero.
-  const size_t n = base.size();
-  const size_t dim = base.front().size();
-  la::Vec packed_rows(n * dim, 0.0f);
+  // public API, so rows are re-normalized in float for the cosines —
+  // cosine is scale-invariant, and all-zero rows stay zero. Widening is
+  // exact, so the double Gram cells are the float Dots of these rows.
   for (size_t i = 0; i < n; ++i) {
-    float* row = packed_rows.data() + i * dim;
-    for (size_t j = 0; j < dim; ++j) row[j] = base[i][j];
+    std::copy(base + i * dim, base + (i + 1) * dim, unit_row.begin());
+    float* row = unit_row.data();
     const double norm = std::sqrt(la::kernels::SquaredNorm(row, dim));
     if (norm > 0.0) la::kernels::Scale(1.0 / norm, row, dim);
+    std::copy(unit_row.begin(), unit_row.end(), wide_rows.begin() + i * dim);
   }
-  std::vector<double> sim(n * n, 0.0);
-  for (size_t i = 0; i < n; ++i) {
-    const float* row_i = packed_rows.data() + i * dim;
-    for (size_t j = i + 1; j < n; ++j) {
-      const double s =
-          la::kernels::Dot(row_i, packed_rows.data() + j * dim, dim);
-      sim[i * n + j] = sim[j * n + i] = s;
-    }
-  }
+  la::kernels::GramMatrix(wide_rows.data(), n, dim, weights.data());
 
-  std::vector<la::Vec> out(n);
+  // Softmax attention over the other tokens; a zero weight on the
+  // diagonal adds an exact +-0 to every context sum, which leaves it
+  // unchanged (the sums start at +0 and the rows are finite).
   for (size_t i = 0; i < n; ++i) {
-    // Softmax attention over the other tokens.
-    const double* sim_row = sim.data() + i * n;
+    double* row = weights.data() + i * n;
     double max_sim = -2.0;
     for (size_t j = 0; j < n; ++j) {
-      if (j != i) max_sim = std::max(max_sim, sim_row[j]);
+      if (j != i) max_sim = std::max(max_sim, row[j]);
     }
-    la::Vec context = la::Zeros(dim);
-    double z = 0.0;
+    double sum = 0.0;
     for (size_t j = 0; j < n; ++j) {
-      if (j == i) continue;
-      const double a = std::exp((sim_row[j] - max_sim) / options_.temperature);
-      la::Axpy(a, base[j], &context);
-      z += a;
+      if (j == i) {
+        row[j] = 0.0;
+        continue;
+      }
+      row[j] = std::exp((row[j] - max_sim) / options_.temperature);
+      sum += row[j];
     }
-    if (z > 0.0) la::Scale(1.0 / z, &context);
-
-    la::Vec mixed = base[i];
-    la::Scale(1.0 - options_.blend, &mixed);
-    la::Axpy(options_.blend, context, &mixed);
-    la::Normalize(&mixed);
-    out[i] = std::move(mixed);
+    z[i] = sum;
   }
-  return out;
+  la::kernels::WeightedRowSum(weights.data(), n, n, base, dim, out);
+
+  // out_i holds the unnormalized context; blend it in place. Float adds
+  // commute exactly, so blend * c_i + (1 - blend) * base_i has the bits
+  // of (1 - blend) * base_i + blend * c_i.
+  for (size_t i = 0; i < n; ++i) {
+    float* row = out + i * dim;
+    if (z[i] > 0.0) la::kernels::Scale(1.0 / z[i], row, dim);
+    la::kernels::Scale(options_.blend, row, dim);
+    la::kernels::Axpy(1.0 - options_.blend, base + i * dim, row, dim);
+    la::Normalize(row, dim);
+  }
 }
 
 }  // namespace wym::embedding

@@ -1,9 +1,7 @@
 #ifndef WYM_EMBEDDING_CONTEXT_MIXER_H_
 #define WYM_EMBEDDING_CONTEXT_MIXER_H_
 
-#include <vector>
-
-#include "la/vector_ops.h"
+#include <cstddef>
 
 /// \file
 /// Attention-like context mixing: every token's vector is blended with a
@@ -29,9 +27,20 @@ class ContextMixer {
 
   explicit ContextMixer(Options options = {});
 
-  /// Returns contextualized unit-norm vectors; `base` is unchanged.
-  /// A single-token description is returned as-is (no context exists).
-  std::vector<la::Vec> Mix(const std::vector<la::Vec>& base) const;
+  /// Contextualizes the `n` x `dim` row-major block `base` into `out`
+  /// (same shape, must not overlap `base`). Output rows are unit-norm,
+  /// except all-zero rows, which stay zero. With fewer than two rows
+  /// (no context exists) or blend <= 0, `out` is a copy of `base`.
+  ///
+  /// Row i is mixed from the cosines of row i with every other row:
+  /// weights a_ij = exp((cos_ij - max_k cos_ik) / temperature) over
+  /// j != i, context c_i = (sum_j a_ij * base_j) / sum_j a_ij, and
+  /// out_i = normalize((1 - blend) * base_i + blend * c_i). The cosines
+  /// come from one la::kernels::GramMatrix call over re-normalized rows
+  /// and the context sums from one la::kernels::WeightedRowSum call;
+  /// both are bit-identical to the per-cell Dot / per-row Axpy loops
+  /// they replaced.
+  void Mix(const float* base, size_t n, size_t dim, float* out) const;
 
  private:
   Options options_;

@@ -161,9 +161,24 @@ void CoocEmbedder::Fit(const std::vector<std::vector<std::string>>& sentences) {
 
 la::Vec CoocEmbedder::Embed(std::string_view token) const {
   WYM_CHECK(fitted_) << "CoocEmbedder used before Fit";
+  const int32_t kept = KeptId(token);
+  if (kept < 0) return la::Zeros(options_.dim);
+  return vectors_[kept];
+}
+
+int32_t CoocEmbedder::KeptId(std::string_view token) const {
   const int32_t vid = vocab_.IdOf(token);
-  if (vid < 0 || kept_id_[vid] < 0) return la::Zeros(options_.dim);
-  return vectors_[kept_id_[vid]];
+  return vid < 0 ? -1 : kept_id_[vid];
+}
+
+std::vector<std::string> CoocEmbedder::KeptTokens() const {
+  std::vector<std::string> out(vectors_.size());
+  for (size_t vid = 0; vid < kept_id_.size(); ++vid) {
+    if (kept_id_[vid] >= 0) {
+      out[kept_id_[vid]] = vocab_.TokenOf(static_cast<int32_t>(vid));
+    }
+  }
+  return out;
 }
 
 void CoocEmbedder::Save(serde::Serializer* s) const {
@@ -177,14 +192,7 @@ void CoocEmbedder::Save(serde::Serializer* s) const {
     s->VecF32(vectors_[kept]);
   }
   // Token strings, in kept-id order.
-  std::vector<int32_t> kept_to_vocab(vectors_.size(), -1);
-  for (size_t vid = 0; vid < kept_id_.size(); ++vid) {
-    if (kept_id_[vid] >= 0) kept_to_vocab[kept_id_[vid]] = static_cast<int32_t>(vid);
-  }
-  for (size_t kept = 0; kept < vectors_.size(); ++kept) {
-    s->Str(kept_to_vocab[kept] >= 0 ? vocab_.TokenOf(kept_to_vocab[kept])
-                                    : std::string());
-  }
+  for (const std::string& token : KeptTokens()) s->Str(token);
 }
 
 bool CoocEmbedder::Load(serde::Deserializer* d) {

@@ -59,6 +59,13 @@ class CoocEmbedder {
   /// Number of in-vocabulary tokens after Fit.
   size_t vocabulary_size() const { return vectors_.size(); }
 
+  /// Index in [0, vocabulary_size()) of an in-vocabulary token, -1 for
+  /// any other token (and before Fit).
+  int32_t KeptId(std::string_view token) const;
+
+  /// The in-vocabulary tokens, indexed by KeptId.
+  std::vector<std::string> KeptTokens() const;
+
   /// Serialization of the fitted embedding table (see util/serde.h).
   void Save(serde::Serializer* s) const;
   bool Load(serde::Deserializer* d);

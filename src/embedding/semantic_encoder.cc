@@ -1,8 +1,11 @@
 #include "embedding/semantic_encoder.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdlib>
 
+#include "la/kernels.h"
+#include "obs/metrics.h"
 #include "obs/trace.h"
 #include "util/logging.h"
 
@@ -21,6 +24,9 @@ const char* EncoderModeName(EncoderMode mode) {
 }
 
 namespace {
+
+/// Largest output dimension SemanticEncoder::Load accepts.
+constexpr size_t kMaxDim = size_t{1} << 16;
 
 CoocEmbedder::Options WithDim(CoocEmbedder::Options options, size_t dim,
                               uint64_t seed) {
@@ -45,14 +51,35 @@ void SemanticEncoder::Fit(
   }
   cache_.Clear();  // Fitting the cooc table changes BaseEmbed output.
   fitted_ = true;
+  FreezeVocabulary();
 }
 
-la::Vec SemanticEncoder::CachedBaseEmbed(const std::string& token) const {
-  la::Vec out;
-  if (cache_.Lookup(token, &out)) return out;
-  out = BaseEmbed(token);
-  cache_.Insert(token, out);
-  return out;
+void SemanticEncoder::FreezeVocabulary() {
+  const std::vector<std::string> vocabulary = cooc_.KeptTokens();
+  const size_t d = dim();
+  la::Vec rows(vocabulary.size() * d);
+  for (size_t k = 0; k < vocabulary.size(); ++k) {
+    const la::Vec row = BaseEmbed(vocabulary[k]);
+    std::copy(row.begin(), row.end(), rows.begin() + k * d);
+  }
+  vocabulary_rows_ = std::move(rows);
+}
+
+bool SemanticEncoder::BaseRow(const std::string& token, float* row) const {
+  const size_t d = dim();
+  const int32_t kept = vocabulary_rows_.empty() ? -1 : cooc_.KeptId(token);
+  if (kept >= 0) {
+    const float* frozen = vocabulary_rows_.data() + kept * d;
+    std::copy(frozen, frozen + d, row);
+    return true;
+  }
+  thread_local la::Vec cached;
+  if (!cache_.Lookup(token, &cached)) {
+    cached = BaseEmbed(token);
+    cache_.Insert(token, cached);
+  }
+  std::copy(cached.begin(), cached.end(), row);
+  return false;
 }
 
 void SemanticEncoder::FitSiamese(
@@ -113,36 +140,56 @@ la::Vec SemanticEncoder::BaseEmbed(const std::string& token) const {
 
 la::Vec SemanticEncoder::EncodeTokenIsolated(const std::string& token) const {
   WYM_CHECK(fitted_) << "SemanticEncoder used before Fit";
-  return CachedBaseEmbed(token);
+  la::Vec out(dim());
+  BaseRow(token, out.data());
+  return out;
 }
 
-std::vector<la::Vec> SemanticEncoder::EncodeTokens(
+la::Vec SemanticEncoder::EncodeTokens(
     const std::vector<std::string>& tokens) const {
   WYM_CHECK(fitted_) << "SemanticEncoder used before Fit";
-  std::vector<la::Vec> base;
-  base.reserve(tokens.size());
-  for (const auto& token : tokens) base.push_back(CachedBaseEmbed(token));
+  const size_t n = tokens.size();
+  const size_t d = dim();
+  thread_local la::Vec base;
+  base.resize(n * d);
+  size_t misses = 0;
+  for (size_t i = 0; i < n; ++i) {
+    if (!BaseRow(tokens[i], base.data() + i * d)) ++misses;
+  }
+  // One relaxed add per entity, never per token.
+  static obs::Counter& lookups_counter =
+      obs::Registry::Global().GetCounter("embedding.token_memo_lookups");
+  static obs::Counter& misses_counter =
+      obs::Registry::Global().GetCounter("embedding.token_memo_misses");
+  lookups_counter.Add(n);
+  if (misses > 0) misses_counter.Add(misses);
 
-  std::vector<la::Vec> mixed = [&] {
+  la::Vec mixed(n * d);
+  {
     obs::SpanScope span("encoder.context_mix");
-    return mixer_.Mix(base);
-  }();
+    mixer_.Mix(base.data(), n, d, mixed.data());
+  }
   if (options_.mode == EncoderMode::kSiamese && calibrator_.fitted()) {
-    for (auto& v : mixed) v = calibrator_.Apply(v);
+    for (size_t i = 0; i < n; ++i) calibrator_.Apply(mixed.data() + i * d, d);
   }
   // Encoder stage boundary: a NaN/Inf in an embedding would silently
   // poison every downstream similarity; abort here under debug checks.
-  for (const la::Vec& v : mixed) {
-    WYM_DCHECK_FINITE(v.data(), v.size()) << "non-finite token embedding";
-  }
+  WYM_DCHECK_FINITE(mixed.data(), mixed.size()) << "non-finite token embedding";
   return mixed;
 }
 
-la::Vec SemanticEncoder::PoolTokens(const std::vector<la::Vec>& tokens) {
-  if (tokens.empty()) return {};
-  la::Vec pooled = la::Zeros(tokens[0].size());
-  for (const auto& v : tokens) la::Axpy(1.0, v, &pooled);
-  la::Scale(1.0 / static_cast<double>(tokens.size()), &pooled);
+la::Vec SemanticEncoder::EncodePooled(
+    const std::vector<std::string>& tokens) const {
+  return PoolTokens(EncodeTokens(tokens).data(), tokens.size(), dim());
+}
+
+la::Vec SemanticEncoder::PoolTokens(const float* rows, size_t n, size_t dim) {
+  if (n == 0) return {};
+  la::Vec pooled = la::Zeros(dim);
+  for (size_t i = 0; i < n; ++i) {
+    la::kernels::Axpy(1.0, rows + i * dim, pooled.data(), dim);
+  }
+  la::Scale(1.0 / static_cast<double>(n), &pooled);
   la::Normalize(&pooled);
   return pooled;
 }
@@ -164,7 +211,7 @@ void SemanticEncoder::Save(serde::Serializer* s) const {
 bool SemanticEncoder::Load(serde::Deserializer* d) {
   if (!d->Tag("encoder/v1")) return false;
   Options options;
-  options.mode = static_cast<EncoderMode>(d->U64());
+  const uint64_t mode = d->U64();
   options.hash_dim = d->U64();
   options.cooc_dim = d->U64();
   options.numeric_dims = d->U64();
@@ -172,10 +219,29 @@ bool SemanticEncoder::Load(serde::Deserializer* d) {
   options.context.temperature = d->F64();
   options.seed = d->U64();
   if (!d->ok()) return false;
+  if (mode > static_cast<uint64_t>(EncoderMode::kSiamese)) return false;
+  options.mode = static_cast<EncoderMode>(mode);
+  if (options.hash_dim > kMaxDim || options.cooc_dim > kMaxDim ||
+      options.numeric_dims > kMaxDim ||
+      options.hash_dim + options.cooc_dim + options.numeric_dims > kMaxDim) {
+    return false;
+  }
+  // The numeracy basis spreads its centers over numeric_dims - 1 gaps.
+  if (options.numeric_dims == 1) return false;
+  if (!std::isfinite(options.context.blend) ||
+      !std::isfinite(options.context.temperature) ||
+      !(options.context.temperature > 0.0)) {
+    return false;
+  }
   *this = SemanticEncoder(options);
   fitted_ = d->Bool();
-  if (!cooc_.Load(d)) return false;
+  // BaseEmbed reads cooc_dim entries of every cooc vector, and the
+  // calibrator scales every dim() entry of a token row.
+  if (!cooc_.Load(d) || cooc_.dim() != options_.cooc_dim) return false;
   if (!calibrator_.Load(d)) return false;
+  if (calibrator_.fitted() && calibrator_.weights().size() != dim()) {
+    return false;
+  }
   return d->ok();
 }
 

@@ -73,20 +73,38 @@ class SemanticEncoder {
   void FitSiamese(const std::vector<std::pair<la::Vec, la::Vec>>& pairs,
                   const std::vector<int>& labels);
 
-  /// Contextual unit-norm embeddings for one entity description's tokens.
-  std::vector<la::Vec> EncodeTokens(
-      const std::vector<std::string>& tokens) const;
+  /// Contextual unit-norm embeddings of one entity description's tokens,
+  /// as one row-major tokens.size() x dim() block (row i embeds token i).
+  la::Vec EncodeTokens(const std::vector<std::string>& tokens) const;
 
   /// Context-free embedding of a single token (before mixing/calibration
   /// pooling); exposed for tests and the micro benches.
   la::Vec EncodeTokenIsolated(const std::string& token) const;
 
-  /// Mean-pools token vectors into one description vector (normalized).
-  static la::Vec PoolTokens(const std::vector<la::Vec>& tokens);
+  /// PoolTokens over EncodeTokens(tokens): one description vector.
+  la::Vec EncodePooled(const std::vector<std::string>& tokens) const;
+
+  /// Mean-pools `n` row-major token rows of width `dim` into one
+  /// description vector (normalized); empty when n == 0.
+  static la::Vec PoolTokens(const float* rows, size_t n, size_t dim);
+
+  /// Builds the frozen tier of the token memo: the context-free rows of
+  /// the whole training vocabulary. Fit calls it; a loader calls it once
+  /// the complete model has validated, since it runs the embedder over
+  /// every vocabulary token. Without it every token takes the bounded
+  /// FIFO tier — same results, one lock per token.
+  void FreezeVocabulary();
 
   /// Serialization of the fitted encoder (see util/serde.h). Note the
   /// hash embedder is purely seed-defined, so only options + fitted
   /// state of the corpus-dependent parts are stored.
+  ///
+  /// Load rejects (returns false for) internal shapes that do not fit
+  /// together: an unknown mode, a cooc table whose width is not
+  /// cooc_dim, calibrator weights whose length is not dim(), a numeracy
+  /// basis of one channel, dims past 2^16, and a non-finite blend or
+  /// a non-positive temperature. It leaves the frozen memo tier unbuilt
+  /// (see FreezeVocabulary).
   void Save(serde::Serializer* s) const;
   bool Load(serde::Deserializer* d);
 
@@ -94,23 +112,28 @@ class SemanticEncoder {
     return options_.hash_dim + options_.cooc_dim + options_.numeric_dims;
   }
   /// Token-memo introspection (bounded-cache regression tests and the
-  /// serve stats endpoint): current entry count and lifetime evictions.
+  /// serve stats endpoint): the FIFO tier's current entry count and
+  /// lifetime evictions, and the frozen tier's row count.
   size_t token_cache_size() const { return cache_.size(); }
   uint64_t token_cache_evictions() const { return cache_.evictions(); }
+  size_t frozen_vocabulary_size() const {
+    return dim() == 0 ? 0 : vocabulary_rows_.size() / dim();
+  }
   EncoderMode mode() const { return options_.mode; }
   bool fitted() const { return fitted_; }
 
  private:
-  /// Memo of context-free token embeddings: the same token string always
-  /// maps to the same BaseEmbed vector (hash-gram + cooc + numeracy are
-  /// all deterministic in the token), so repeated occurrences across a
-  /// corpus skip the recomputation. Backed by util::FifoCache —
-  /// thread-safe (the batch inference APIs encode records concurrently)
-  /// and size-capped with deterministic insertion-order eviction, so a
-  /// long-lived serving process that streams an unbounded token
-  /// vocabulary through the encoder holds at most kMaxEntries vectors
-  /// while new tokens keep getting cached. Never copied/moved with the
-  /// encoder (the entries are derivable state).
+  /// Memo of context-free token embeddings, second tier: the same token
+  /// string always maps to the same BaseEmbed vector (hash-gram + cooc +
+  /// numeracy are all deterministic in the token), so repeated
+  /// occurrences of tokens outside the training vocabulary skip the
+  /// recomputation. Backed by util::FifoCache — thread-safe (the batch
+  /// inference APIs encode records concurrently) and size-capped with
+  /// deterministic insertion-order eviction, so a long-lived serving
+  /// process that streams an unbounded token vocabulary through the
+  /// encoder holds at most kMaxEntries vectors while new tokens keep
+  /// getting cached. Never copied/moved with the encoder (the entries
+  /// are derivable state).
   class TokenEmbeddingCache {
    public:
     TokenEmbeddingCache() = default;
@@ -141,8 +164,10 @@ class SemanticEncoder {
   };
 
   la::Vec BaseEmbed(const std::string& token) const;
-  /// BaseEmbed through the memo cache.
-  la::Vec CachedBaseEmbed(const std::string& token) const;
+  /// Writes BaseEmbed(token) into `row` through the memo: the frozen
+  /// vocabulary tier (no lock), else the FIFO tier. Returns false when
+  /// the frozen tier did not hold the token.
+  bool BaseRow(const std::string& token, float* row) const;
 
   Options options_;
   bool fitted_ = false;
@@ -150,6 +175,10 @@ class SemanticEncoder {
   CoocEmbedder cooc_;
   ContextMixer mixer_;
   SiameseCalibrator calibrator_;
+  /// Memo, first tier: BaseEmbed rows of the training vocabulary,
+  /// row-major, indexed by CoocEmbedder::KeptId. Immutable once built,
+  /// so concurrent encoders read it without a lock.
+  la::Vec vocabulary_rows_;
   mutable TokenEmbeddingCache cache_;
 };
 

@@ -62,13 +62,11 @@ void SiameseCalibrator::Fit(
   fitted_ = true;
 }
 
-la::Vec SiameseCalibrator::Apply(const la::Vec& v) const {
-  if (!fitted_) return v;
-  WYM_CHECK_EQ(v.size(), weights_.size());
-  la::Vec out(v.size());
-  for (size_t k = 0; k < v.size(); ++k) out[k] = v[k] * weights_[k];
-  la::Normalize(&out);
-  return out;
+void SiameseCalibrator::Apply(float* row, size_t dim) const {
+  if (!fitted_) return;
+  WYM_CHECK_EQ(dim, weights_.size());
+  for (size_t k = 0; k < dim; ++k) row[k] *= weights_[k];
+  la::Normalize(row, dim);
 }
 
 void SiameseCalibrator::Save(serde::Serializer* s) const {

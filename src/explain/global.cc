@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <map>
+#include <span>
 #include <sstream>
 
 #include "util/logging.h"
@@ -28,8 +29,17 @@ GlobalAttribution ComputeGlobalAttribution(const core::WymModel& model,
   };
   std::map<std::string, UnitAggregate> units;
 
-  for (const auto& record : dataset.records) {
-    const core::Explanation explanation = model.Explain(record);
+  // Explained through the batch path in bounded chunks; aggregation
+  // stays in record order.
+  constexpr size_t kChunkRecords = 8192;
+  const std::span<const data::EmRecord> records(dataset.records);
+  std::vector<core::Explanation> explanations;
+  for (size_t i = 0; i < records.size(); ++i) {
+    if (i % kChunkRecords == 0) {
+      explanations = model.ExplainBatch(
+          records.subspan(i, std::min(kChunkRecords, records.size() - i)));
+    }
+    const core::Explanation& explanation = explanations[i % kChunkRecords];
     ++report.records_analyzed;
     for (const auto& eu : explanation.units) {
       AttributeInfluence& influence =

@@ -97,6 +97,27 @@ void DenseF64Scalar(const double* x, size_t rows, size_t in, const double* w,
   }
 }
 
+void GramF64Scalar(const double* rows, size_t n, size_t dim, double* out) {
+  for (size_t i = 0; i < n; ++i) {
+    const double* row_i = rows + i * dim;
+    for (size_t j = i; j < n; ++j) {
+      out[i * n + j] = out[j * n + i] =
+          DotF64Scalar(row_i, rows + j * dim, dim);
+    }
+  }
+}
+
+void WeightedSumF32Scalar(const double* w, size_t n_out, size_t n_in,
+                          const float* x, size_t dim, float* out) {
+  for (size_t i = 0; i < n_out; ++i) {
+    float* out_row = out + i * dim;
+    for (size_t d = 0; d < dim; ++d) out_row[d] = 0.0f;
+    for (size_t j = 0; j < n_in; ++j) {
+      AxpyF32Scalar(w[i * n_in + j], x + j * dim, out_row, dim);
+    }
+  }
+}
+
 int32_t DotI8Scalar(const int8_t* a, const int8_t* b, size_t n) {
   int32_t acc = 0;
   for (size_t i = 0; i < n; ++i) {
@@ -137,7 +158,8 @@ void QuantizeRowI8Scalar(const float* row, size_t dim, int8_t* q,
 const internal::KernelTable kScalarTable = {
     DotF32Scalar, DotF64Scalar,   SqDistF64Scalar, AxpyF32Scalar,
     AxpyF64Scalar, ScaleF32Scalar, ScaleF64Scalar,
-    DotI8Scalar,  QuantizeRowI8Scalar, DenseF64Scalar,
+    DotI8Scalar,  QuantizeRowI8Scalar, DenseF64Scalar, GramF64Scalar,
+    WeightedSumF32Scalar,
 };
 
 // ---------------------------------------------------------------------
@@ -321,6 +343,18 @@ void DenseLayer(const double* x, size_t rows, size_t in, const double* w,
              (bias != nullptr && out != nullptr &&
               (in == 0 || (x != nullptr && w != nullptr))));
   Active().dense_f64(x, rows, in, w, bias, n_out, relu, out);
+}
+
+void GramMatrix(const double* rows, size_t n, size_t dim, double* out) {
+  WYM_DCHECK(n == 0 || (out != nullptr && (dim == 0 || rows != nullptr)));
+  Active().gram_f64(rows, n, dim, out);
+}
+
+void WeightedRowSum(const double* w, size_t n_out, size_t n_in,
+                    const float* x, size_t dim, float* out) {
+  WYM_DCHECK(n_out == 0 || dim == 0 ||
+             (out != nullptr && (n_in == 0 || (w != nullptr && x != nullptr))));
+  Active().weighted_sum_f32(w, n_out, n_in, x, dim, out);
 }
 
 void QuantizeRowsI8(const float* rows, size_t n_rows, size_t dim, int8_t* q,

@@ -87,6 +87,31 @@ void SimilarityMatrix(const float* a, size_t a_rows, const float* b,
 void DenseLayer(const double* x, size_t rows, size_t in, const double* w,
                 const double* bias, size_t n_out, bool relu, double* out);
 
+/// Gram matrix of `n` row-major rows of width `dim`:
+///   out[i * n + j] = Dot(rows + i*dim, rows + j*dim, dim)
+/// Each unordered pair is one Dot cell, computed once and mirrored:
+/// products commute exactly, so Dot is symmetric bit for bit. The AVX2
+/// path tiles 4 cells over one pass of the shared row, as DenseLayer
+/// does; every cell is bit-identical to Dot at both levels. For rows
+/// widened from floats each cell also has the bits of the float Dot
+/// over the original rows (float products are exact in double), which
+/// is how the encoder's context mixing uses it. Unlike SimilarityMatrix
+/// it bumps no counter: `kernels.similarity_matrix_calls` measures
+/// unit generation only.
+void GramMatrix(const double* rows, size_t n, size_t dim, double* out);
+
+/// Weighted row sums, the context sum of the encoder's mixing pass:
+///   out[i*dim + d] = sum_j fl(w[i*n_in + j] * x[j*dim + d])
+/// for i < n_out, where fl() forms the product in double and rounds it
+/// to float, and the sum runs in float from +0.0f in increasing j. Each
+/// output row is therefore bit-identical to zeroing it and calling the
+/// float Axpy(w[i*n_in + j], x + j*dim, out + i*dim, dim) for j = 0,
+/// 1, ..., n_in - 1. The AVX2 path keeps a 4-row x 8-column tile of
+/// sums in registers across the whole j loop; tiling reorders cells
+/// only. `out` must not overlap `x`.
+void WeightedRowSum(const double* w, size_t n_out, size_t n_in,
+                    const float* x, size_t dim, float* out);
+
 // ---------------------------------------------------------------------
 // Quantized int8 tier. Symmetric per-row scaling: a float row maps to
 // int8 codes q[i] plus one float scale with x[i] ≈ q[i] * scale. Like
@@ -149,6 +174,9 @@ struct KernelTable {
   void (*quantize_row_i8)(const float*, size_t, int8_t*, float*);
   void (*dense_f64)(const double*, size_t, size_t, const double*,
                     const double*, size_t, bool, double*);
+  void (*gram_f64)(const double*, size_t, size_t, double*);
+  void (*weighted_sum_f32)(const double*, size_t, size_t, const float*,
+                           size_t, float*);
 };
 
 /// Scalar table (always available).

@@ -257,6 +257,72 @@ void DenseF64Avx2(const double* x, size_t rows, size_t in, const double* w,
   }
 }
 
+// Upper triangle of the Gram matrix in 4-cell tiles along each row,
+// mirrored into the lower triangle.
+void GramF64Avx2(const double* rows, size_t n, size_t dim, double* out) {
+  for (size_t i = 0; i < n; ++i) {
+    const double* row_i = rows + i * dim;
+    size_t j = i;
+    for (; j + 4 <= n; j += 4) {
+      double cells[4];
+      _mm256_storeu_pd(cells, Dot4F64Avx2(rows + j * dim, dim, row_i, dim));
+      for (size_t c = 0; c < 4; ++c) {
+        out[i * n + j + c] = out[(j + c) * n + i] = cells[c];
+      }
+    }
+    for (; j < n; ++j) {
+      out[i * n + j] = out[j * n + i] = DotF64Avx2(row_i, rows + j * dim, dim);
+    }
+  }
+}
+
+// fl(w * x) for 4 widened floats: the double product rounded to float,
+// as AxpyF32Avx2 forms it.
+inline __m128 ProductF32(__m256d x, __m256d w) {
+  return _mm256_cvtpd_ps(_mm256_mul_pd(x, w));
+}
+
+// Tiles of up to 4 output rows x 8 columns stay in registers across the
+// whole j loop, as two 4-float halves per row (no cross-lane insert);
+// each x block is widened once per tile and shared by its rows. Column
+// tails (dim % 8) run the scalar recurrence per cell.
+void WeightedSumF32Avx2(const double* w, size_t n_out, size_t n_in,
+                        const float* x, size_t dim, float* out) {
+  const size_t blocks = dim - dim % 8;
+  for (size_t i0 = 0; i0 < n_out; i0 += 4) {
+    const size_t rows = n_out - i0 < 4 ? n_out - i0 : 4;
+    const double* w_rows = w + i0 * n_in;
+    for (size_t d = 0; d < blocks; d += 8) {
+      __m128 lo[4], hi[4];
+      for (size_t r = 0; r < 4; ++r) lo[r] = hi[r] = _mm_setzero_ps();
+      for (size_t j = 0; j < n_in; ++j) {
+        const __m256d x_lo = _mm256_cvtps_pd(_mm_loadu_ps(x + j * dim + d));
+        const __m256d x_hi =
+            _mm256_cvtps_pd(_mm_loadu_ps(x + j * dim + d + 4));
+        for (size_t r = 0; r < rows; ++r) {
+          const __m256d wr = _mm256_set1_pd(w_rows[r * n_in + j]);
+          lo[r] = _mm_add_ps(lo[r], ProductF32(x_lo, wr));
+          hi[r] = _mm_add_ps(hi[r], ProductF32(x_hi, wr));
+        }
+      }
+      for (size_t r = 0; r < rows; ++r) {
+        _mm_storeu_ps(out + (i0 + r) * dim + d, lo[r]);
+        _mm_storeu_ps(out + (i0 + r) * dim + d + 4, hi[r]);
+      }
+    }
+    for (size_t d = blocks; d < dim; ++d) {
+      for (size_t r = 0; r < rows; ++r) {
+        float acc = 0.0f;
+        for (size_t j = 0; j < n_in; ++j) {
+          acc += static_cast<float>(w_rows[r * n_in + j] *
+                                    static_cast<double>(x[j * dim + d]));
+        }
+        out[(i0 + r) * dim + d] = acc;
+      }
+    }
+  }
+}
+
 // Int8 dot via the signed path: _mm256_cvtepi8_epi16 sign-extension +
 // _mm256_madd_epi16. Deliberately avoids _mm256_maddubs_epi16 (whose
 // unsigned×signed int16 saturation could differ from the scalar
@@ -374,7 +440,8 @@ void QuantizeRowI8Avx2(const float* row, size_t dim, int8_t* q,
 const KernelTable kAvx2Table = {
     DotF32Avx2,  DotF64Avx2,   SqDistF64Avx2, AxpyF32Avx2,
     AxpyF64Avx2, ScaleF32Avx2, ScaleF64Avx2,
-    DotI8Avx2,   QuantizeRowI8Avx2, DenseF64Avx2,
+    DotI8Avx2,   QuantizeRowI8Avx2, DenseF64Avx2, GramF64Avx2,
+    WeightedSumF32Avx2,
 };
 
 bool CpuHasAvx2() {

@@ -34,10 +34,12 @@ void Scale(double factor, Vec* a) {
   kernels::Scale(factor, a->data(), a->size());
 }
 
-void Normalize(Vec* a) {
-  const double norm = Norm(*a);
+void Normalize(Vec* a) { Normalize(a->data(), a->size()); }
+
+void Normalize(float* row, size_t n) {
+  const double norm = std::sqrt(kernels::SquaredNorm(row, n));
   if (norm == 0.0) return;
-  Scale(1.0 / norm, a);
+  kernels::Scale(1.0 / norm, row, n);
 }
 
 Vec MeanOf(const Vec& a, const Vec& b) {

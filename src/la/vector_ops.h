@@ -37,6 +37,8 @@ void Scale(double factor, Vec* a);
 
 /// Normalizes to unit length in place; leaves an all-zero vector untouched.
 void Normalize(Vec* a);
+/// Same, over a raw row of `n` floats.
+void Normalize(float* row, size_t n);
 
 /// Element-wise mean of two vectors.
 Vec MeanOf(const Vec& a, const Vec& b);

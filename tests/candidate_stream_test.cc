@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
 #include <map>
 #include <set>
 #include <string>
@@ -464,6 +465,60 @@ TEST(MatchTablesTest, StreamsRankedMatchesEndToEnd) {
   stream_options.encoder = &model.encoder();
   CandidateStream stream(left, right, stream_options);
   EXPECT_GT(BlockingRecall(stream.Drain(), ids, ids), 0.8);
+}
+
+TEST(MatchTablesTest, ProbabilitiesEqualPerRecordPredictProba) {
+  // MatchTables scores each left row's candidates as one run, and the
+  // batch predictor prepares a run's left entity once. Every scored
+  // candidate must still carry the bits of PredictProba on its own
+  // (left, right) record, at 1 and 4 threads, with batches small enough
+  // to split a run across two PredictProbaBatch calls.
+  const data::Dataset dataset = data::GenerateById("S-FZ", 42, 0.5);
+  const data::Split split = data::DefaultSplit(dataset, 42);
+  core::WymModel model;
+  model.Fit(split.train, split.validation);
+
+  EntityTable left, right;
+  left.schema = dataset.schema;
+  right.schema = dataset.schema;
+  for (const auto& record : split.test.records) {
+    left.rows.push_back(record.left);
+    right.rows.push_back(record.right);
+    if (left.size() >= 16) break;
+  }
+
+  MatchTablesOptions options;
+  options.min_probability = 0.0;  // Keep every scored candidate.
+  options.batch_candidates = 3;
+  std::vector<std::vector<TableMatch>> runs;
+  for (size_t threads : {1, 4}) {
+    util::ThreadPool pool(threads);
+    MatchTablesStats stats;
+    runs.push_back(MatchTables(model, left, right, options, &pool, &stats));
+    EXPECT_EQ(runs.back().size(), stats.candidates_scored);
+  }
+  ASSERT_EQ(runs[0].size(), runs[1].size());
+
+  std::map<size_t, size_t> per_left;
+  for (const TableMatch& match : runs[0]) ++per_left[match.left_row];
+  size_t longest = 0;
+  for (const auto& [row, count] : per_left) longest = std::max(longest, count);
+  ASSERT_GT(longest, options.batch_candidates) << "no run spans two batches";
+
+  for (const std::vector<TableMatch>& matches : runs) {
+    for (size_t i = 0; i < matches.size(); ++i) {
+      data::EmRecord record;
+      record.left = left.rows[matches[i].left_row];
+      record.right = right.rows[matches[i].right_row];
+      const double single = model.PredictProba(record);
+      EXPECT_EQ(std::memcmp(&matches[i].probability, &single, sizeof(double)),
+                0)
+          << "left " << matches[i].left_row << " right "
+          << matches[i].right_row;
+      EXPECT_EQ(matches[i].left_row, runs[0][i].left_row);
+      EXPECT_EQ(matches[i].right_row, runs[0][i].right_row);
+    }
+  }
 }
 
 }  // namespace

@@ -54,7 +54,12 @@ WYM_TRACE="$WORK/trace.json" "$CLI" explain --data "$WORK/data.csv" \
 "$CLI" validate-report --file "$WORK/trace.json" > /dev/null
 
 "$CLI" stats --data "$WORK/data.csv" --model "$WORK/model.wym" \
-  | grep -q "global attribution"
+  > "$WORK/cli-stats.txt"
+grep -q "global attribution" "$WORK/cli-stats.txt"
+# The reuse and out-of-vocabulary counters of the encode stage.
+grep -q "explain.entities_prepared" "$WORK/cli-stats.txt"
+grep -q "embedding.token_memo_misses" "$WORK/cli-stats.txt"
+grep -q "embedding.token_memo_lookups" "$WORK/cli-stats.txt"
 
 # verify: an intact model file passes and lists its sections.
 "$CLI" verify --model "$WORK/model.wym" | grep -q "verified"
@@ -248,6 +253,8 @@ if [ -n "$SERVE" ]; then
   grep -q '"queue_bound"' "$WORK/stats.json"
   grep -q '"windows"' "$WORK/stats.json"
   grep -q '"journal"' "$WORK/stats.json"
+  grep -q '"explain.entities_prepared"' "$WORK/stats.json"
+  grep -q '"embedding.token_memo_misses"' "$WORK/stats.json"
 
   # Live observability over the running server: top renders windowed
   # rates, tail prints the newest journal lines.

@@ -86,7 +86,7 @@ TEST(TokenizedRecordTest, AttributeBookkeeping) {
   data::Entity entity;
   entity.values = {"digital camera", "sony"};
   const TokenizedEntity tokenized =
-      TokenizeEntity(entity, schema, TestTokenizer());
+      TokenizeEntity(entity, schema.size(), TestTokenizer());
   ASSERT_EQ(tokenized.tokens.size(), 3u);
   EXPECT_EQ(tokenized.attribute_of[0], 0u);
   EXPECT_EQ(tokenized.attribute_of[2], 1u);
@@ -307,7 +307,7 @@ TEST(RelevanceScorerTest, UnpairedUsesZeroEmbedding) {
   unpaired.left = {0, 0, "alpha"};
 
   const auto features = RelevanceScorer::UnitFeatures(record, unpaired);
-  const size_t dim = record.left.embeddings[0].size();
+  const size_t dim = record.left.embedding_dim;
   ASSERT_EQ(features.size(), 2 * dim);
   // mean = v/2 and |diff| = |v| must coincide up to factor 2 (R5).
   for (size_t i = 0; i < dim; ++i) {
@@ -369,8 +369,11 @@ TEST(RelevanceScorerTest, UnitFeaturesMatchMeanOfAndAbsDiff) {
   const auto encoder = MakeEncoder({{"alpha", "beta"}});
   const TokenizedRecord record =
       MakeRecord(schema, {"alpha"}, {"beta"}, 1, encoder);
-  const la::Vec& left = record.left.embeddings[0];
-  const la::Vec& right = record.right.embeddings[0];
+  const size_t dim = record.left.embedding_dim;
+  const la::Vec left(record.left.EmbeddingRow(0),
+                     record.left.EmbeddingRow(0) + dim);
+  const la::Vec right(record.right.EmbeddingRow(0),
+                      record.right.EmbeddingRow(0) + dim);
   const la::Vec zero = la::Zeros(left.size());
 
   DecisionUnit paired;
@@ -449,7 +452,7 @@ TEST(RelevanceScorerTest, BlockScoreEqualsPerUnitPredictBitForBit) {
   // The same units over a record whose right side has no embeddings:
   // every right-hand lookup reads the zero [UNP] vector.
   TokenizedRecord one_sided = mixed;
-  one_sided.right.embeddings.clear();
+  one_sided.right.raw_embeddings.clear();
 
   const TokenizedRecord* checked[] = {&mixed, &one_sided};
   for (const TokenizedRecord* record : checked) {

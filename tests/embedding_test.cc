@@ -1,15 +1,129 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <cstring>
+#include <sstream>
+#include <string>
+#include <vector>
+
 #include "embedding/context_mixer.h"
 #include "embedding/cooc_embedder.h"
 #include "embedding/hash_embedder.h"
 #include "embedding/semantic_encoder.h"
 #include "embedding/siamese_calibrator.h"
+#include "la/kernels.h"
 #include "la/vector_ops.h"
+#include "obs/metrics.h"
 #include "util/random.h"
+#include "util/serde.h"
 
 namespace wym::embedding {
 namespace {
+
+using la::kernels::SimdLevel;
+
+/// The per-row mixing loop the block ContextMixer replaced, kept as the
+/// reference oracle: one Dot per similarity cell, one std::exp per
+/// weight, and one la::Axpy into a fresh context vector per (i, j).
+std::vector<la::Vec> MixReference(const std::vector<la::Vec>& base,
+                                  const ContextMixerOptions& options) {
+  if (base.size() < 2 || options.blend <= 0.0) return base;
+  const size_t n = base.size();
+  const size_t dim = base.front().size();
+  la::Vec packed_rows(n * dim, 0.0f);
+  for (size_t i = 0; i < n; ++i) {
+    float* row = packed_rows.data() + i * dim;
+    for (size_t j = 0; j < dim; ++j) row[j] = base[i][j];
+    const double norm = std::sqrt(la::kernels::SquaredNorm(row, dim));
+    if (norm > 0.0) la::kernels::Scale(1.0 / norm, row, dim);
+  }
+  std::vector<double> sim(n * n, 0.0);
+  for (size_t i = 0; i < n; ++i) {
+    const float* row_i = packed_rows.data() + i * dim;
+    for (size_t j = i + 1; j < n; ++j) {
+      const double s =
+          la::kernels::Dot(row_i, packed_rows.data() + j * dim, dim);
+      sim[i * n + j] = sim[j * n + i] = s;
+    }
+  }
+  std::vector<la::Vec> out(n);
+  for (size_t i = 0; i < n; ++i) {
+    const double* sim_row = sim.data() + i * n;
+    double max_sim = -2.0;
+    for (size_t j = 0; j < n; ++j) {
+      if (j != i) max_sim = std::max(max_sim, sim_row[j]);
+    }
+    la::Vec context = la::Zeros(dim);
+    double z = 0.0;
+    for (size_t j = 0; j < n; ++j) {
+      if (j == i) continue;
+      const double a = std::exp((sim_row[j] - max_sim) / options.temperature);
+      la::Axpy(a, base[j], &context);
+      z += a;
+    }
+    if (z > 0.0) la::Scale(1.0 / z, &context);
+    la::Vec mixed = base[i];
+    la::Scale(1.0 - options.blend, &mixed);
+    la::Axpy(options.blend, context, &mixed);
+    la::Normalize(&mixed);
+    out[i] = std::move(mixed);
+  }
+  return out;
+}
+
+/// ContextMixer::Mix over rows given as vectors, returned as vectors.
+std::vector<la::Vec> MixRows(const ContextMixer& mixer,
+                             const std::vector<la::Vec>& rows) {
+  const size_t dim = rows.empty() ? 0 : rows.front().size();
+  la::Vec block;
+  for (const la::Vec& row : rows) {
+    block.insert(block.end(), row.begin(), row.end());
+  }
+  la::Vec mixed(block.size());
+  mixer.Mix(block.data(), rows.size(), dim, mixed.data());
+  std::vector<la::Vec> out;
+  for (size_t i = 0; i < rows.size(); ++i) {
+    out.emplace_back(mixed.begin() + i * dim, mixed.begin() + (i + 1) * dim);
+  }
+  return out;
+}
+
+/// Restores the ambient dispatch level when a test body returns.
+class ScopedSimdLevel {
+ public:
+  explicit ScopedSimdLevel(SimdLevel level)
+      : previous_(la::kernels::ActiveSimdLevel()) {
+    la::kernels::SetSimdLevel(level);
+  }
+  ~ScopedSimdLevel() { la::kernels::SetSimdLevel(previous_); }
+
+ private:
+  SimdLevel previous_;
+};
+
+bool SameBits(const std::vector<la::Vec>& a, const std::vector<la::Vec>& b) {
+  if (a.size() != b.size()) return false;
+  for (size_t i = 0; i < a.size(); ++i) {
+    if (a[i].size() != b[i].size()) return false;
+    if (!a[i].empty() &&
+        std::memcmp(a[i].data(), b[i].data(), a[i].size() * sizeof(float)) !=
+            0) {
+      return false;
+    }
+  }
+  return true;
+}
+
+/// The calibrated copy of `v`.
+la::Vec Calibrated(const SiameseCalibrator& calibrator, la::Vec v) {
+  calibrator.Apply(v.data(), v.size());
+  return v;
+}
+
+uint64_t CounterValue(const char* name) {
+  return obs::Registry::Global().GetCounter(name).Value();
+}
 
 TEST(HashEmbedderTest, UnitNormAndDeterministic) {
   const HashEmbedder embedder(40);
@@ -81,7 +195,7 @@ TEST(CoocEmbedderTest, MinCountFiltersRareTokens) {
 TEST(ContextMixerTest, SingleTokenUnchanged) {
   const ContextMixer mixer;
   const std::vector<la::Vec> base = {{1.0f, 0.0f}};
-  EXPECT_EQ(mixer.Mix(base), base);
+  EXPECT_EQ(MixRows(mixer, base), base);
 }
 
 TEST(ContextMixerTest, OutputIsUnitNormAndContextDependent) {
@@ -91,8 +205,8 @@ TEST(ContextMixerTest, OutputIsUnitNormAndContextDependent) {
                                           embedder.Embed("digital")};
   const std::vector<la::Vec> context_b = {embedder.Embed("camera"),
                                           embedder.Embed("lens")};
-  const auto mixed_a = mixer.Mix(context_a);
-  const auto mixed_b = mixer.Mix(context_b);
+  const auto mixed_a = MixRows(mixer, context_a);
+  const auto mixed_b = MixRows(mixer, context_b);
   EXPECT_NEAR(la::Norm(mixed_a[0]), 1.0, 1e-5);
   // Same token, different context -> different contextual vector (R4).
   EXPECT_LT(la::Cosine(mixed_a[0], mixed_b[0]), 0.9999);
@@ -106,13 +220,49 @@ TEST(ContextMixerTest, ZeroBlendIsIdentity) {
   const HashEmbedder embedder(16);
   const std::vector<la::Vec> base = {embedder.Embed("a"),
                                      embedder.Embed("b")};
-  EXPECT_EQ(mixer.Mix(base), base);
+  EXPECT_EQ(MixRows(mixer, base), base);
+}
+
+TEST(ContextMixerTest, BlockMixIsBitIdenticalToPerRowReference) {
+  // Row counts around the 4-row tiles of both block kernels and the
+  // encoder's typical 25 tokens; widths around the 8-column blocks and
+  // the production dim 56. Every input carries an all-zero row and a
+  // duplicated row once it has room for them.
+  Rng rng(0xB10C);
+  const ContextMixer mixer;
+  for (size_t n : {0, 1, 2, 3, 4, 5, 8, 9, 25, 64}) {
+    for (size_t dim : {1, 7, 8, 56, 57}) {
+      std::vector<la::Vec> base(n, la::Vec(dim));
+      for (la::Vec& row : base) {
+        for (float& v : row) v = static_cast<float>(rng.Uniform(-1.0, 1.0));
+        la::Normalize(&row);
+      }
+      if (n >= 3) {
+        std::fill(base[1].begin(), base[1].end(), 0.0f);
+        base[n - 1] = base[0];
+      }
+      const std::vector<la::Vec> expected =
+          MixReference(base, ContextMixerOptions{});
+      for (SimdLevel level :
+           {SimdLevel::kScalar, la::kernels::DetectedSimdLevel()}) {
+        ScopedSimdLevel guard(level);
+        SCOPED_TRACE(testing::Message() << "n=" << n << " dim=" << dim
+                                        << " level="
+                                        << la::kernels::SimdLevelName(level));
+        // The oracle runs at the same level: its Dot/Axpy are the same
+        // kernels, and both levels agree bit for bit.
+        EXPECT_TRUE(SameBits(MixReference(base, ContextMixerOptions{}),
+                             expected));
+        EXPECT_TRUE(SameBits(MixRows(mixer, base), expected));
+      }
+    }
+  }
 }
 
 TEST(SiameseCalibratorTest, IdentityBeforeFit) {
   const SiameseCalibrator calibrator;
   const la::Vec v = {0.5f, 0.5f};
-  EXPECT_EQ(calibrator.Apply(v), v);
+  EXPECT_EQ(Calibrated(calibrator, v), v);
 }
 
 TEST(SiameseCalibratorTest, ReducesTrainingObjective) {
@@ -145,8 +295,8 @@ TEST(SiameseCalibratorTest, ReducesTrainingObjective) {
       const double target =
           labels[i] == 1 ? 1.0 : options.negative_target;
       const double cos =
-          calibrated ? la::Cosine(calibrator.Apply(pairs[i].first),
-                                  calibrator.Apply(pairs[i].second))
+          calibrated ? la::Cosine(Calibrated(calibrator, pairs[i].first),
+                                  Calibrated(calibrator, pairs[i].second))
                      : la::Cosine(pairs[i].first, pairs[i].second);
       loss += (cos - target) * (cos - target);
     }
@@ -164,9 +314,8 @@ TEST(SemanticEncoderTest, DimsConstantAcrossModes) {
     encoder.Fit({{"a", "b"}, {"a", "c"}});
     EXPECT_EQ(encoder.dim(),
               options.hash_dim + options.cooc_dim + options.numeric_dims);
-    const auto vectors = encoder.EncodeTokens({"a", "b"});
-    ASSERT_EQ(vectors.size(), 2u);
-    EXPECT_EQ(vectors[0].size(), encoder.dim());
+    const la::Vec rows = encoder.EncodeTokens({"a", "b"});
+    EXPECT_EQ(rows.size(), 2 * encoder.dim());
   }
 }
 
@@ -194,11 +343,11 @@ TEST(SemanticEncoderTest, ExactNumberBeatsCloseNumber) {
 }
 
 TEST(SemanticEncoderTest, PoolTokensIsNormalizedMean) {
-  const la::Vec pooled =
-      SemanticEncoder::PoolTokens({{1.0f, 0.0f}, {0.0f, 1.0f}});
+  const la::Vec rows = {1.0f, 0.0f, 0.0f, 1.0f};
+  const la::Vec pooled = SemanticEncoder::PoolTokens(rows.data(), 2, 2);
   EXPECT_NEAR(la::Norm(pooled), 1.0, 1e-5);
   EXPECT_NEAR(pooled[0], pooled[1], 1e-5);
-  EXPECT_TRUE(SemanticEncoder::PoolTokens({}).empty());
+  EXPECT_TRUE(SemanticEncoder::PoolTokens(rows.data(), 0, 2).empty());
 }
 
 TEST(SemanticEncoderTest, DeterministicAcrossInstances) {
@@ -253,6 +402,50 @@ TEST(SemanticEncoderTest, TokenCacheIsBoundedWithDeterministicEviction) {
   (void)other.EncodeTokens({"tok0"});
   EXPECT_EQ(other.token_cache_size(), encoder.token_cache_size());
   EXPECT_EQ(other.token_cache_evictions(), encoder.token_cache_evictions());
+}
+
+TEST(SemanticEncoderTest, FrozenVocabularyTierServesTrainingTokens) {
+  // Tokens of the training vocabulary come from the frozen tier: no
+  // FIFO entry, no memo miss. Out-of-vocabulary tokens take the FIFO
+  // tier and count one miss each, once per encoded entity.
+  SemanticEncoder::Options options;
+  options.mode = EncoderMode::kFineTuned;
+  SemanticEncoder encoder(options);
+  encoder.Fit({{"digital", "camera", "lens"},
+               {"digital", "camera", "zoom"},
+               {"lens", "zoom", "digital"}});
+  ASSERT_GT(encoder.frozen_vocabulary_size(), 0u);
+
+  const uint64_t lookups0 = CounterValue("embedding.token_memo_lookups");
+  const uint64_t misses0 = CounterValue("embedding.token_memo_misses");
+  const la::Vec in_vocabulary = encoder.EncodeTokens({"digital", "camera"});
+  EXPECT_EQ(encoder.token_cache_size(), 0u);
+  const la::Vec mixed = encoder.EncodeTokens({"digital", "tripod", "qx9"});
+  EXPECT_EQ(encoder.token_cache_size(), 2u);
+  if (obs::MetricsEnabled()) {
+    EXPECT_EQ(CounterValue("embedding.token_memo_lookups") - lookups0, 5u);
+    EXPECT_EQ(CounterValue("embedding.token_memo_misses") - misses0, 2u);
+  }
+
+  // A loaded encoder has no frozen tier until FreezeVocabulary; every
+  // tier gives the same bits.
+  std::stringstream bytes;
+  serde::Serializer writer(&bytes);
+  encoder.Save(&writer);
+  serde::Deserializer reader(&bytes);
+  SemanticEncoder loaded;
+  ASSERT_TRUE(loaded.Load(&reader));
+  EXPECT_EQ(loaded.frozen_vocabulary_size(), 0u);
+  EXPECT_EQ(loaded.EncodeTokens({"digital", "camera"}), in_vocabulary);
+  EXPECT_EQ(loaded.token_cache_size(), 2u);
+  loaded.FreezeVocabulary();
+  EXPECT_EQ(loaded.frozen_vocabulary_size(), encoder.frozen_vocabulary_size());
+  EXPECT_EQ(loaded.EncodeTokens({"digital", "tripod", "qx9"}), mixed);
+  for (const char* token : {"digital", "camera", "lens", "zoom", "qx9"}) {
+    EXPECT_EQ(loaded.EncodeTokenIsolated(token),
+              encoder.EncodeTokenIsolated(token))
+        << token;
+  }
 }
 
 }  // namespace

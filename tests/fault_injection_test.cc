@@ -267,11 +267,11 @@ std::string MlpPayload(uint64_t input_dim,
   return out.str();
 }
 
-/// `clean` with its scorer section replaced by a neural scorer carrying
-/// `network`. Every checksum is recomputed, so only the loader's shape
-/// checks stand between the payload and the forward pass.
-std::string WithScorerNetwork(const std::string& clean,
-                              const std::string& network) {
+/// `clean` with section `name` replaced by `payload`. Every checksum is
+/// recomputed, so only the loader's own checks stand between the
+/// payload and the pipeline.
+std::string WithSection(const std::string& clean, const std::string& name,
+                        const std::string& payload) {
   const std::string magic = clean.substr(0, clean.find(' '));
   uint32_t version = 0;
   std::vector<io::FileFrame> frames;
@@ -279,6 +279,20 @@ std::string WithScorerNetwork(const std::string& clean,
                                    std::numeric_limits<uint32_t>::max(),
                                    &version, &frames)
                   .ok());
+  size_t replaced = 0;
+  for (io::FileFrame& frame : frames) {
+    if (frame.name != name) continue;
+    frame.payload = payload;
+    ++replaced;
+  }
+  EXPECT_EQ(replaced, 1u);
+  return io::EncodeFramedFile(magic, version, frames);
+}
+
+/// `clean` with its scorer section replaced by a neural scorer carrying
+/// `network`.
+std::string WithScorerNetwork(const std::string& clean,
+                              const std::string& network) {
   std::ostringstream scorer;
   serde::Serializer s(&scorer);
   s.Tag("scorer/v1");
@@ -288,14 +302,7 @@ std::string WithScorerNetwork(const std::string& clean,
   s.Bool(true);  // fitted
   s.Bool(true);  // has a network
   scorer << network;
-  size_t replaced = 0;
-  for (io::FileFrame& frame : frames) {
-    if (frame.name != "scorer") continue;
-    frame.payload = scorer.str();
-    ++replaced;
-  }
-  EXPECT_EQ(replaced, 1u);
-  return io::EncodeFramedFile(magic, version, frames);
+  return WithSection(clean, "scorer", scorer.str());
 }
 
 TEST_F(FaultInjectionTest, ScorerNetworkShapesAreCheckedOnLoad) {
@@ -338,6 +345,110 @@ TEST_F(FaultInjectionTest, ScorerNetworkShapesAreCheckedOnLoad) {
             "scorer input width " + std::to_string(width - 2) +
                 " does not match 2 x encoder dim " +
                 std::to_string(width / 2) + ": " + path);
+  std::remove(path.c_str());
+}
+
+// ---------------------------------------------------------------------
+// CRC-valid files whose encoder section has inconsistent shapes
+// ---------------------------------------------------------------------
+
+/// A hand-built encoder/v1 section. The encoder's own options come
+/// first; `cooc_vector_dim` is the width the cooc table declares and
+/// stores (two tokens), and `calibrator_weights` the calibrator's
+/// weight count.
+struct EncoderSection {
+  uint64_t mode = 2;  // EncoderMode::kSiamese
+  uint64_t hash_dim = 32;
+  uint64_t cooc_dim = 16;
+  uint64_t numeric_dims = 8;
+  uint64_t cooc_vector_dim = 16;
+  size_t calibrator_weights = 56;
+
+  std::string Payload() const {
+    std::ostringstream out;
+    serde::Serializer s(&out);
+    s.Tag("encoder/v1");
+    s.U64(mode);
+    s.U64(hash_dim);
+    s.U64(cooc_dim);
+    s.U64(numeric_dims);
+    s.F64(0.3);   // blend
+    s.F64(0.25);  // temperature
+    s.U64(0xE11C0DE);
+    s.Bool(true);  // fitted
+    s.Tag("cooc/v1");
+    s.Bool(true);
+    s.U64(cooc_vector_dim);
+    s.U64(2);
+    for (int token = 0; token < 2; ++token) {
+      std::vector<float> v(cooc_vector_dim, 0.0f);
+      if (!v.empty()) v[token % v.size()] = 1.0f;
+      s.VecF32(v);
+    }
+    s.Str("camera");
+    s.Str("lens");
+    s.Tag("siamese/v1");
+    s.Bool(true);
+    s.VecF32(std::vector<float>(calibrator_weights, 1.0f));
+    return out.str();
+  }
+};
+
+TEST_F(FaultInjectionTest, EncoderShapesAreCheckedOnLoad) {
+  ASSERT_EQ(suite_->model.encoder().dim(), 56u);
+  const std::string path = suite_->path + ".encoder";
+  const auto load = [&](const EncoderSection& section) {
+    EXPECT_TRUE(io::WriteFileAtomic(path, WithSection(suite_->clean_bytes,
+                                                      "encoder",
+                                                      section.Payload()))
+                    .ok());
+    EXPECT_TRUE(core::WymModel::VerifyFile(path, nullptr).ok());
+    return core::WymModel::LoadFromFile(path);
+  };
+  const auto rejected = [&](const EncoderSection& section) {
+    auto loaded = load(section);
+    ASSERT_FALSE(loaded.ok());
+    EXPECT_EQ(loaded.status().code(), Status::Code::kCorruption);
+    EXPECT_EQ(loaded.status().message(),
+              "bad encoder state in section 'encoder': " + path);
+  };
+
+  // Consistent shapes load and predict, the two cooc tokens from the
+  // frozen memo tier.
+  auto sound = load(EncoderSection{});
+  ASSERT_TRUE(sound.ok()) << sound.status().ToString();
+  EXPECT_EQ(sound.value().encoder().frozen_vocabulary_size(), 2u);
+  EXPECT_EQ(sound.value().PredictProbaBatch(suite_->split.test).size(),
+            suite_->split.test.size());
+
+  // cooc_dim 24 over cooc vectors of 8 (dim() still 56): BaseEmbed
+  // would read 16 floats past every cooc vector.
+  EncoderSection wide_cooc;
+  wide_cooc.hash_dim = 24;
+  wide_cooc.cooc_dim = 24;
+  wide_cooc.cooc_vector_dim = 8;
+  rejected(wide_cooc);
+
+  // Calibrator weights that do not cover a token row.
+  EncoderSection short_weights;
+  short_weights.calibrator_weights = 55;
+  rejected(short_weights);
+
+  // A mode past kSiamese.
+  EncoderSection bad_mode;
+  bad_mode.mode = 7;
+  rejected(bad_mode);
+
+  // One numeracy channel: its center would be 0/0.
+  EncoderSection one_channel;
+  one_channel.hash_dim = 39;
+  one_channel.numeric_dims = 1;
+  rejected(one_channel);
+
+  // A dim no encoder could allocate rows of.
+  EncoderSection huge;
+  huge.hash_dim = uint64_t{1} << 40;
+  rejected(huge);
   std::remove(path.c_str());
 }
 

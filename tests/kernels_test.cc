@@ -29,6 +29,7 @@
 #include "data/split.h"
 #include "embedding/semantic_encoder.h"
 #include "la/kernels.h"
+#include "obs/metrics.h"
 #include "text/tokenizer.h"
 #include "util/random.h"
 #include "util/thread_pool.h"
@@ -253,6 +254,91 @@ TEST(KernelParityTest, DenseLayerEqualsPerCellDotOnEveryLevel) {
   }
 }
 
+TEST(KernelParityTest, GramMatrixEqualsPerCellDotOnEveryLevel) {
+  Rng rng(0x6A4);
+  // Row counts on and off the AVX2 4-cell tiles; widths around the
+  // 8-block and the encoder's dim 56.
+  for (size_t n : {0, 1, 2, 3, 4, 5, 8, 9, 25}) {
+    for (size_t dim : {1, 7, 8, 56, 57}) {
+      // Float rows widened to double: each cell must equal both the
+      // double Dot and the float Dot of the original rows.
+      const std::vector<float> narrow = RandomF32(&rng, n * dim);
+      const std::vector<double> rows(narrow.begin(), narrow.end());
+      for (SimdLevel level : AvailableLevels()) {
+        ScopedSimdLevel guard(level);
+        SCOPED_TRACE(testing::Message() << "n=" << n << " dim=" << dim
+                                        << " level="
+                                        << la::kernels::SimdLevelName(level));
+        // One sentinel past the end: the kernel writes n*n cells.
+        std::vector<double> out(n * n + 1, 42.0);
+        la::kernels::GramMatrix(rows.data(), n, dim, out.data());
+        EXPECT_EQ(out.back(), 42.0);
+        for (size_t i = 0; i < n; ++i) {
+          for (size_t j = 0; j < n; ++j) {
+            const double expected = la::kernels::Dot(
+                rows.data() + i * dim, rows.data() + j * dim, dim);
+            ASSERT_TRUE(SameBits(out[i * n + j], expected))
+                << "cell i=" << i << " j=" << j;
+            ASSERT_TRUE(SameBits(
+                out[i * n + j],
+                la::kernels::Dot(narrow.data() + i * dim,
+                                 narrow.data() + j * dim, dim)))
+                << "float cell i=" << i << " j=" << j;
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(KernelParityTest, GramMatrixCountsNoSimilarityMatrixCall) {
+  // The encoder's context mixing runs GramMatrix; the
+  // similarity-matrix counter measures unit generation only.
+  obs::Counter& calls =
+      obs::Registry::Global().GetCounter("kernels.similarity_matrix_calls");
+  const uint64_t before = calls.Value();
+  const std::vector<double> rows(4 * 8, 0.5);
+  std::vector<double> out(16);
+  la::kernels::GramMatrix(rows.data(), 4, 8, out.data());
+  EXPECT_EQ(calls.Value(), before);
+}
+
+TEST(KernelParityTest, WeightedRowSumEqualsPerRowAxpyOnEveryLevel) {
+  Rng rng(0x3E16);
+  // n_out on and off the AVX2 4-row tile, widths around the 8-column
+  // block, n_in 0 (all-zero output) through a typical token count.
+  for (size_t n_out : {0, 1, 3, 4, 5, 9}) {
+    for (size_t n_in : {0, 1, 2, 7, 25}) {
+      for (size_t dim : {1, 7, 8, 56, 57}) {
+        const std::vector<double> w = RandomF64(&rng, n_out * n_in);
+        const std::vector<float> x = RandomF32(&rng, n_in * dim);
+        for (SimdLevel level : AvailableLevels()) {
+          ScopedSimdLevel guard(level);
+          SCOPED_TRACE(testing::Message()
+                       << "n_out=" << n_out << " n_in=" << n_in
+                       << " dim=" << dim << " level="
+                       << la::kernels::SimdLevelName(level));
+          std::vector<float> out(n_out * dim + 1, 42.0f);
+          la::kernels::WeightedRowSum(w.data(), n_out, n_in, x.data(), dim,
+                                      out.data());
+          EXPECT_EQ(out.back(), 42.0f);
+          for (size_t i = 0; i < n_out; ++i) {
+            std::vector<float> expected(dim, 0.0f);
+            for (size_t j = 0; j < n_in; ++j) {
+              la::kernels::Axpy(w[i * n_in + j], x.data() + j * dim,
+                                expected.data(), dim);
+            }
+            ASSERT_EQ(std::memcmp(out.data() + i * dim, expected.data(),
+                                  dim * sizeof(float)),
+                      0)
+                << "row " << i;
+          }
+        }
+      }
+    }
+  }
+}
+
 TEST(KernelParityTest, DenseLayerReluHasStdMaxSemantics) {
   // std::max(0.0, v) maps NaN and -0.0 to +0.0. A cell cannot compute
   // -0.0 itself (Dot's partial sums start at +0.0), so a -0.0 bias over
@@ -461,6 +547,18 @@ core::TokenizedRecord EncodeFirstRecord(const data::Dataset& dataset) {
   core::EncodeEntity(encoder, &record.left);
   core::EncodeEntity(encoder, &record.right);
   return record;
+}
+
+TEST(KernelPipelineTest, EncodeEntityCountsNoSimilarityMatrixCall) {
+  // Encoding mixes context through GramMatrix, not SimilarityMatrix, so
+  // `la.simmat_fp_calls` keeps measuring unit generation alone.
+  const data::Dataset dataset = data::GenerateById("S-WA", 42, 0.1);
+  obs::Counter& calls =
+      obs::Registry::Global().GetCounter("kernels.similarity_matrix_calls");
+  const uint64_t before = calls.Value();
+  const core::TokenizedRecord record = EncodeFirstRecord(dataset);
+  ASSERT_GE(record.left.size(), 2u);
+  EXPECT_EQ(calls.Value(), before);
 }
 
 TEST(KernelPipelineTest, DecisionUnitsIdenticalAcrossLevels) {

@@ -10,13 +10,16 @@
 #include <cstring>
 #include <memory>
 #include <numeric>
+#include <span>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "core/wym.h"
 #include "data/benchmark_gen.h"
 #include "data/split.h"
 #include "la/kernels.h"
+#include "obs/metrics.h"
 #include "util/parallel.h"
 #include "util/thread_pool.h"
 
@@ -284,6 +287,87 @@ TEST_F(BatchDeterminismTest,
     }
   }
   EXPECT_GT(units, 0u);
+}
+
+TEST_F(BatchDeterminismTest, LeftRunReuseEqualsPerRecordExplain) {
+  // The batch body prepares the left entity once per run of consecutive
+  // records with equal left values. Repeated, alternating and
+  // zero-token left entities must give every record the bits of its own
+  // Explain call, and the quarantine reasons of a one-record batch.
+  const std::vector<data::EmRecord>& test = split_->test.records;
+  ASSERT_GE(test.size(), 6u);
+  data::Entity empty;
+  empty.values.assign(dataset_->schema.size(), "");
+  const auto pair = [](const data::Entity& left, const data::Entity& right) {
+    data::EmRecord record;
+    record.left = left;
+    record.right = right;
+    return record;
+  };
+  const std::vector<data::EmRecord> records = {
+      // A run of three.
+      pair(test[0].left, test[0].right), pair(test[0].left, test[1].right),
+      pair(test[0].left, test[2].right),
+      // Alternating lefts: runs of one.
+      pair(test[1].left, test[3].right), pair(test[2].left, test[4].right),
+      pair(test[1].left, test[5].right), pair(test[2].left, test[0].right),
+      // Zero-token lefts, twice with a zero-token right (quarantined).
+      pair(empty, test[1].right), pair(empty, empty), pair(empty, empty),
+      pair(empty, test[2].right),
+      // The first left again, after other runs, then a zero-token right.
+      pair(test[0].left, test[3].right), pair(test[0].left, empty)};
+  const size_t runs = 7;
+
+  std::vector<std::string> reasons(records.size());
+  for (size_t i = 0; i < records.size(); ++i) {
+    core::PredictionReport single;
+    model_->ExplainBatch(std::span(&records[i], 1), &single);
+    if (!single.quarantined.empty()) {
+      reasons[i] = single.quarantined.front().reason;
+    }
+  }
+  ASSERT_FALSE(reasons[8].empty());
+
+  obs::Counter& prepared =
+      obs::Registry::Global().GetCounter("explain.entities_prepared");
+  for (size_t threads : {1, 4}) {
+    SCOPED_TRACE(testing::Message() << threads << " thread(s)");
+    util::ThreadPool pool(threads);
+    const uint64_t before = prepared.Value();
+    core::PredictionReport report;
+    const std::vector<core::Explanation> batch =
+        model_->ExplainBatch(records, &report, &pool);
+    if (obs::MetricsEnabled()) {
+      EXPECT_EQ(prepared.Value() - before, runs + records.size());
+    }
+    ASSERT_EQ(batch.size(), records.size());
+    std::vector<std::string> batch_reasons(records.size());
+    for (const auto& entry : report.quarantined) {
+      batch_reasons[entry.index] = entry.reason;
+    }
+    EXPECT_EQ(batch_reasons, reasons);
+    EXPECT_EQ(report.predicted, records.size() - report.quarantined.size());
+    for (size_t i = 0; i < records.size(); ++i) {
+      const core::Explanation single = model_->Explain(records[i]);
+      const core::Explanation& a = batch[i];
+      EXPECT_EQ(a.prediction, single.prediction) << "record " << i;
+      EXPECT_EQ(
+          std::memcmp(&a.probability, &single.probability, sizeof(double)), 0)
+          << "record " << i;
+      ASSERT_EQ(a.units.size(), single.units.size()) << "record " << i;
+      for (size_t u = 0; u < a.units.size(); ++u) {
+        EXPECT_EQ(a.units[u].unit.left.token, single.units[u].unit.left.token);
+        EXPECT_EQ(a.units[u].unit.right.token,
+                  single.units[u].unit.right.token);
+        EXPECT_EQ(std::memcmp(&a.units[u].relevance, &single.units[u].relevance,
+                              sizeof(double)),
+                  0);
+        EXPECT_EQ(std::memcmp(&a.units[u].impact, &single.units[u].impact,
+                              sizeof(double)),
+                  0);
+      }
+    }
+  }
 }
 
 }  // namespace
