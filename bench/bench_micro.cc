@@ -42,7 +42,7 @@ la::Vec PackRows(const std::vector<la::Vec>& rows) {
     flat.insert(flat.end(), row.begin(), row.end());
   }
   la::Vec packed;
-  core::PackUnitRows(flat.data(), rows.size(), dim, &packed, nullptr);
+  core::PackUnitRows(flat.data(), rows.size(), dim, &packed);
   return packed;
 }
 
@@ -196,84 +196,8 @@ void BM_SimilarityMatrix(benchmark::State& state) {
 }
 BENCHMARK(BM_SimilarityMatrix)->Range(4, 64)->Complexity();
 
-/// Random unit rows packed then quantized — the int8 benches' shared
-/// input shape.
-struct QuantizedBenchRows {
-  std::vector<int8_t> q;
-  std::vector<float> scales;
-};
-
-QuantizedBenchRows MakeQuantizedRows(Rng* rng, size_t rows, size_t dim) {
-  std::vector<la::Vec> source(rows);
-  for (size_t i = 0; i < rows; ++i) {
-    source[i].resize(dim);
-    for (size_t j = 0; j < dim; ++j) {
-      source[i][j] = static_cast<float>(rng->Uniform(-1, 1));
-    }
-  }
-  const la::Vec packed = PackRows(source);
-  QuantizedBenchRows out;
-  core::QuantizeUnitRows(packed.data(), rows, dim, &out.q, &out.scales);
-  return out;
-}
-
-void BM_DotI8(benchmark::State& state) {
-  const size_t n = static_cast<size_t>(state.range(0));
-  Rng rng(11);
-  const QuantizedBenchRows a = MakeQuantizedRows(&rng, 1, n);
-  const QuantizedBenchRows b = MakeQuantizedRows(&rng, 1, n);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(la::kernels::DotI8(
-        a.q.data(), b.q.data(), n, a.scales[0], b.scales[0]));
-  }
-}
-BENCHMARK(BM_DotI8)->Arg(48)->Arg(72)->Arg(256);
-
-void BM_QuantizeRows(benchmark::State& state) {
-  // Encode-time cost of the int8 cache: quantizing one record's packed
-  // unit rows.
-  const size_t rows = static_cast<size_t>(state.range(0));
-  const size_t dim = 72;
-  Rng rng(13);
-  std::vector<la::Vec> source(rows);
-  for (size_t i = 0; i < rows; ++i) {
-    source[i].resize(dim);
-    for (size_t j = 0; j < dim; ++j) {
-      source[i][j] = static_cast<float>(rng.Uniform(-1, 1));
-    }
-  }
-  const la::Vec packed = PackRows(source);
-  std::vector<int8_t> q(rows * dim);
-  std::vector<float> scales(rows);
-  for (auto _ : state) {
-    la::kernels::QuantizeRowsI8(packed.data(), rows, dim, q.data(),
-                                scales.data());
-    benchmark::DoNotOptimize(q.data());
-  }
-}
-BENCHMARK(BM_QuantizeRows)->Arg(64);
-
-void BM_SimilarityMatrixI8(benchmark::State& state) {
-  // Mirror of BM_SimilarityMatrix (same row counts, dim 72) over the
-  // quantized rows, so the /N names align for fp-vs-int8 comparison.
-  const size_t rows = static_cast<size_t>(state.range(0));
-  const size_t dim = 72;
-  Rng rng(13);
-  const QuantizedBenchRows left = MakeQuantizedRows(&rng, rows, dim);
-  const QuantizedBenchRows right = MakeQuantizedRows(&rng, rows, dim);
-  std::vector<double> out(rows * rows);
-  for (auto _ : state) {
-    la::kernels::SimilarityMatrixI8(left.q.data(), rows, left.scales.data(),
-                                    right.q.data(), rows, right.scales.data(),
-                                    dim, out.data());
-    benchmark::DoNotOptimize(out.data());
-  }
-  state.SetComplexityN(static_cast<int64_t>(rows));
-}
-BENCHMARK(BM_SimilarityMatrixI8)->Range(4, 64)->Complexity();
-
 void BM_SimilarityMatrixDim(benchmark::State& state) {
-  // Dim sweep at the acceptance shape (64 rows): fp baseline.
+  // Dim sweep at the acceptance shape (64 rows).
   const size_t rows = 64;
   const size_t dim = static_cast<size_t>(state.range(0));
   Rng rng(13);
@@ -297,23 +221,6 @@ void BM_SimilarityMatrixDim(benchmark::State& state) {
 }
 BENCHMARK(BM_SimilarityMatrixDim)->Arg(48)->Arg(256);
 
-void BM_SimilarityMatrixI8Dim(benchmark::State& state) {
-  // Dim sweep at the acceptance shape (64 rows): int8 counterpart.
-  const size_t rows = 64;
-  const size_t dim = static_cast<size_t>(state.range(0));
-  Rng rng(13);
-  const QuantizedBenchRows left = MakeQuantizedRows(&rng, rows, dim);
-  const QuantizedBenchRows right = MakeQuantizedRows(&rng, rows, dim);
-  std::vector<double> out(rows * rows);
-  for (auto _ : state) {
-    la::kernels::SimilarityMatrixI8(left.q.data(), rows, left.scales.data(),
-                                    right.q.data(), rows, right.scales.data(),
-                                    dim, out.data());
-    benchmark::DoNotOptimize(out.data());
-  }
-}
-BENCHMARK(BM_SimilarityMatrixI8Dim)->Arg(48)->Arg(256);
-
 void BM_UnitGeneration(benchmark::State& state) {
   // One realistic record from the product benchmark, fully encoded.
   // Packed embeddings are dropped so each Generate call pays the
@@ -330,11 +237,7 @@ void BM_UnitGeneration(benchmark::State& state) {
   core::EncodeEntity(encoder, &record.left);
   core::EncodeEntity(encoder, &record.right);
   record.left.packed_embeddings.clear();
-  record.left.embedding_norms.clear();
-  record.left.embedding_dim = 0;
   record.right.packed_embeddings.clear();
-  record.right.embedding_norms.clear();
-  record.right.embedding_dim = 0;
   const core::DecisionUnitGenerator generator;
   for (auto _ : state) {
     benchmark::DoNotOptimize(generator.Generate(record.left, record.right,
@@ -363,30 +266,6 @@ void BM_UnitGeneration_Cached(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_UnitGeneration_Cached);
-
-void BM_UnitGeneration_CachedFp(benchmark::State& state) {
-  // BM_UnitGeneration_Cached with the fp fallback pinned: the default
-  // path is now quantized, so this keeps the full-precision trajectory
-  // comparable across reports.
-  const data::Dataset dataset = data::GenerateById("S-WA", 42, 0.1);
-  const text::Tokenizer tokenizer;
-  embedding::SemanticEncoderOptions options;
-  options.mode = embedding::EncoderMode::kPretrained;
-  embedding::SemanticEncoder encoder(options);
-  encoder.Fit({});
-  core::TokenizedRecord record = core::TokenizeRecord(
-      dataset.records.front(), dataset.schema, tokenizer);
-  core::EncodeEntity(encoder, &record.left);
-  core::EncodeEntity(encoder, &record.right);
-  core::UnitGeneratorOptions generator_options;
-  generator_options.quantized = false;
-  const core::DecisionUnitGenerator generator(generator_options);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(generator.Generate(record.left, record.right,
-                                                dataset.schema.size()));
-  }
-}
-BENCHMARK(BM_UnitGeneration_CachedFp);
 
 void BM_MlpPredict(benchmark::State& state) {
   Rng rng(4);

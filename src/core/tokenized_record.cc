@@ -40,31 +40,12 @@ TokenizedRecord TokenizeRecord(const data::EmRecord& record,
 }
 
 void PackUnitRows(const float* rows, size_t n_rows, size_t dim,
-                  la::Vec* packed, std::vector<double>* norms) {
+                  la::Vec* packed) {
   packed->assign(rows, rows + n_rows * dim);
-  if (norms != nullptr) norms->assign(n_rows, 0.0);
   for (size_t i = 0; i < n_rows; ++i) {
     float* row = packed->data() + i * dim;
     const double norm = std::sqrt(la::kernels::SquaredNorm(row, dim));
-    if (norms != nullptr) (*norms)[i] = norm;
     if (norm > 0.0) la::kernels::Scale(1.0 / norm, row, dim);
-  }
-}
-
-void QuantizeUnitRows(const float* rows, size_t n_rows, size_t dim,
-                      std::vector<int8_t>* q, std::vector<float>* scales,
-                      std::vector<float>* l1) {
-  q->resize(n_rows * dim);
-  scales->resize(n_rows);
-  la::kernels::QuantizeRowsI8(rows, n_rows, dim, q->data(), scales->data());
-  if (l1 != nullptr) {
-    l1->resize(n_rows);
-    for (size_t r = 0; r < n_rows; ++r) {
-      const float* row = rows + r * dim;
-      double acc = 0.0;
-      for (size_t i = 0; i < dim; ++i) acc += std::fabs(row[i]);
-      (*l1)[r] = static_cast<float>(acc);
-    }
   }
 }
 
@@ -72,9 +53,7 @@ void TokenizedEntity::PackEmbeddings() {
   WYM_CHECK_EQ(raw_embeddings.size(), size() * embedding_dim)
       << "raw embedding block does not hold one row per token";
   PackUnitRows(raw_embeddings.data(), size(), embedding_dim,
-               &packed_embeddings, &embedding_norms);
-  QuantizeUnitRows(packed_embeddings.data(), size(), embedding_dim,
-                   &quantized_embeddings, &quantized_scales, &quantized_l1);
+               &packed_embeddings);
 }
 
 void EncodeEntity(const embedding::SemanticEncoder& encoder,

@@ -2,7 +2,6 @@
 #define WYM_CORE_TOKENIZED_RECORD_H_
 
 #include <cstddef>
-#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -34,22 +33,8 @@ struct TokenizedEntity {
   /// Both blocks are kept: the encoder's rows are unit vectors only up
   /// to rounding, and re-normalizing them moves bits in some rows.
   la::Vec packed_embeddings;
-  /// Pre-normalization Euclidean norm of each raw row (the encoder
-  /// emits unit vectors, so these are ~1; they preserve the full cosine
-  /// for entities built with arbitrary vectors).
-  std::vector<double> embedding_norms;
   /// Row width of both blocks (0 until encoded).
   size_t embedding_dim = 0;
-  /// Symmetric per-row int8 quantization of the packed unit rows
-  /// (la::kernels::QuantizeRowsI8), cached at encode time next to the
-  /// float packing so the quantized similarity-matrix fast path never
-  /// re-quantizes per pair. Same row-major shape as packed_embeddings.
-  std::vector<int8_t> quantized_embeddings;
-  /// One dequantization scale per row (max|x| / 127; 0 for zero rows).
-  std::vector<float> quantized_scales;
-  /// One L1 norm per packed fp row, cached for the quantized path's
-  /// per-cell refinement bound so it never rescans rows per pair.
-  std::vector<float> quantized_l1;
 
   size_t size() const { return tokens.size(); }
 
@@ -71,22 +56,12 @@ struct TokenizedEntity {
   /// True when packed_embeddings is in sync with the raw block's shape.
   bool HasPackedEmbeddings() const {
     return HasEmbeddings() &&
-           packed_embeddings.size() == raw_embeddings.size() &&
-           embedding_norms.size() == size();
+           packed_embeddings.size() == raw_embeddings.size();
   }
 
-  /// True when the quantized cache is in sync with the raw block's shape.
-  bool HasQuantizedEmbeddings() const {
-    return HasPackedEmbeddings() &&
-           quantized_embeddings.size() == raw_embeddings.size() &&
-           quantized_scales.size() == size() && quantized_l1.size() == size();
-  }
-
-  /// (Re)builds packed_embeddings + embedding_norms from the raw block
-  /// (one unit-normalization per token at encode time, so every cosine
-  /// downstream collapses to a dot product), then quantizes the unit
-  /// rows into quantized_embeddings + quantized_scales for the int8
-  /// fast path.
+  /// (Re)builds packed_embeddings from the raw block (one
+  /// unit-normalization per token at encode time, so every cosine
+  /// downstream collapses to a dot product).
   void PackEmbeddings();
 };
 
@@ -98,19 +73,9 @@ struct TokenizedRecord {
 };
 
 /// Copies `n_rows` row-major float rows of width `dim` into `packed`
-/// (resized), unit-normalizing each. `norms` (optional) receives each
-/// row's pre-normalization Euclidean norm. All-zero rows stay all-zero.
+/// (resized), unit-normalizing each. All-zero rows stay all-zero.
 void PackUnitRows(const float* rows, size_t n_rows, size_t dim,
-                  la::Vec* packed, std::vector<double>* norms);
-
-/// Quantizes `n_rows` packed row-major float rows of width `dim` into
-/// int8 codes + per-row scales (resizing the outputs). Thin shape-aware
-/// wrapper over la::kernels::QuantizeRowsI8. `l1` (optional) receives
-/// each fp row's L1 norm (sequential double accumulation, rounded to
-/// float) for the refinement error bound of the quantized screen.
-void QuantizeUnitRows(const float* rows, size_t n_rows, size_t dim,
-                      std::vector<int8_t>* q, std::vector<float>* scales,
-                      std::vector<float>* l1 = nullptr);
+                  la::Vec* packed);
 
 /// Tokenizes one entity of `num_attributes` values (embeddings left
 /// empty).

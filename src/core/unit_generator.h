@@ -45,18 +45,6 @@ struct UnitGeneratorOptions {
   PairingSimilarity similarity = PairingSimilarity::kEmbedding;
   /// Optional pairing veto rules (all must accept a pairing).
   std::vector<PairingRule> rules;
-  /// Compute the kEmbedding similarity matrix on the int8 quantized
-  /// rows (la::kernels::SimilarityMatrixI8) instead of the float path.
-  /// The int8 matrix is a pruning *screen*: every cell whose screened
-  /// value plus a rigorous per-cell quantization error bound could reach
-  /// min(theta, eta, epsilon) is recomputed in full precision, so
-  /// pairing decisions and unit similarities match the fp path exactly;
-  /// only cells provably below every pairing threshold keep the int8
-  /// approximation. Table-3 F1 drift measured ≤ 0.002 absolute (see
-  /// EXPERIMENTS.md); set false to select the full-precision fallback.
-  /// Runtime execution knob — not serialized into model files, so a
-  /// loaded model honors whatever the serving config sets here.
-  bool quantized = true;
 };
 
 /// Extracts the decision units of a record.
@@ -78,7 +66,9 @@ class DecisionUnitGenerator {
 
   /// The precomputed similarity matrix Generate works from: cosine of
   /// unit embeddings (or Jaro-Winkler), with vetoed cells forced to -1.
-  /// Exposed for tests and the micro benches.
+  /// The cosines come from the entities' encode-time packed rows; an
+  /// entity without them is packed on the fly (PackUnitRows), which
+  /// gives the same bits. Exposed for tests and the micro benches.
   la::Matrix PairSimilarityMatrix(const TokenizedEntity& left,
                                   const TokenizedEntity& right) const;
 

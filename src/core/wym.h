@@ -49,10 +49,7 @@ struct WymConfig {
   /// to BERT's cosine geometry; the substitute hash-gram + PPMI encoder
   /// has a wider cosine spread, so the calibrated defaults sit lower
   /// while preserving the increasing theta < eta < epsilon ordering the
-  /// paper prescribes (§4.1.2). `generator.quantized` (default on)
-  /// selects the int8 similarity-matrix fast path; set it false for the
-  /// full-precision fp fallback — it is a runtime knob, not part of the
-  /// saved model.
+  /// paper prescribes (§4.1.2).
   UnitGeneratorOptions generator = {.theta = 0.45,
                                     .eta = 0.50,
                                     .epsilon = 0.55,

@@ -13,8 +13,6 @@
 #include "la/kernels.h"
 
 #include <algorithm>
-#include <cmath>
-#include <cstring>
 
 #include <immintrin.h>
 
@@ -323,125 +321,10 @@ void WeightedSumF32Avx2(const double* w, size_t n_out, size_t n_in,
   }
 }
 
-// Int8 dot via the signed path: _mm256_cvtepi8_epi16 sign-extension +
-// _mm256_madd_epi16. Deliberately avoids _mm256_maddubs_epi16 (whose
-// unsigned×signed int16 saturation could differ from the scalar
-// totals) so both levels produce identical int32 partials. Integer
-// accumulation is exact, so lane layout never matters.
-int32_t DotI8Avx2(const int8_t* a, const int8_t* b, size_t n) {
-  // Two accumulators break the add dependency chain in the main loop;
-  // 16- and 8-wide tail steps keep the typical embedding dims (48, 72)
-  // off the scalar fallback entirely. All reassociation is free: the
-  // int32 total is exact regardless of order.
-  __m256i acc0 = _mm256_setzero_si256();
-  __m256i acc1 = _mm256_setzero_si256();
-  size_t i = 0;
-  for (; i + 32 <= n; i += 32) {
-    const __m256i a16_lo = _mm256_cvtepi8_epi16(
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(a + i)));
-    const __m256i a16_hi = _mm256_cvtepi8_epi16(
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(a + i + 16)));
-    const __m256i b16_lo = _mm256_cvtepi8_epi16(
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(b + i)));
-    const __m256i b16_hi = _mm256_cvtepi8_epi16(
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(b + i + 16)));
-    acc0 = _mm256_add_epi32(acc0, _mm256_madd_epi16(a16_lo, b16_lo));
-    acc1 = _mm256_add_epi32(acc1, _mm256_madd_epi16(a16_hi, b16_hi));
-  }
-  if (i + 16 <= n) {
-    const __m256i a16 = _mm256_cvtepi8_epi16(
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(a + i)));
-    const __m256i b16 = _mm256_cvtepi8_epi16(
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(b + i)));
-    acc0 = _mm256_add_epi32(acc0, _mm256_madd_epi16(a16, b16));
-    i += 16;
-  }
-  acc0 = _mm256_add_epi32(acc0, acc1);
-  __m128i acc_tail = _mm_setzero_si128();
-  if (i + 8 <= n) {
-    const __m128i a16 = _mm_cvtepi8_epi16(
-        _mm_loadl_epi64(reinterpret_cast<const __m128i*>(a + i)));
-    const __m128i b16 = _mm_cvtepi8_epi16(
-        _mm_loadl_epi64(reinterpret_cast<const __m128i*>(b + i)));
-    acc_tail = _mm_madd_epi16(a16, b16);
-    i += 8;
-  }
-  acc_tail = _mm_add_epi32(acc_tail,
-                           _mm_add_epi32(_mm256_castsi256_si128(acc0),
-                                         _mm256_extracti128_si256(acc0, 1)));
-  int32_t lanes[4];
-  _mm_storeu_si128(reinterpret_cast<__m128i*>(lanes), acc_tail);
-  int32_t sum = (lanes[0] + lanes[1]) + (lanes[2] + lanes[3]);
-  for (; i < n; ++i) {
-    sum += static_cast<int32_t>(a[i]) * static_cast<int32_t>(b[i]);
-  }
-  return sum;
-}
-
-// Byte-identical to QuantizeRowI8Scalar — same per-element multiply,
-// copysign(0.5f) adjust, float clamp and truncation; float max is
-// exact so the 8-lane max equals the scalar running max.
-void QuantizeRowI8Avx2(const float* row, size_t dim, int8_t* q,
-                       float* scale) {
-  const __m256 abs_mask =
-      _mm256_castsi256_ps(_mm256_set1_epi32(0x7fffffff));
-  __m256 vmax = _mm256_setzero_ps();
-  const size_t blocks = dim - dim % 8;
-  size_t i = 0;
-  for (; i < blocks; i += 8) {
-    vmax =
-        _mm256_max_ps(vmax, _mm256_and_ps(_mm256_loadu_ps(row + i), abs_mask));
-  }
-  float max_lanes[8];
-  _mm256_storeu_ps(max_lanes, vmax);
-  float max_abs = max_lanes[0];
-  for (int k = 1; k < 8; ++k) {
-    if (max_lanes[k] > max_abs) max_abs = max_lanes[k];
-  }
-  for (; i < dim; ++i) {
-    const float a = std::fabs(row[i]);
-    if (a > max_abs) max_abs = a;
-  }
-  if (max_abs == 0.0f) {
-    *scale = 0.0f;
-    if (dim > 0) std::memset(q, 0, dim);
-    return;
-  }
-  const float inv = 127.0f / max_abs;
-  const __m256 vinv = _mm256_set1_ps(inv);
-  const __m256 vhalf = _mm256_set1_ps(0.5f);
-  const __m256 sign_mask =
-      _mm256_castsi256_ps(_mm256_set1_epi32(static_cast<int32_t>(0x80000000u)));
-  const __m256 vhi = _mm256_set1_ps(127.0f);
-  const __m256 vlo = _mm256_set1_ps(-127.0f);
-  i = 0;
-  for (; i < blocks; i += 8) {
-    const __m256 v = _mm256_mul_ps(_mm256_loadu_ps(row + i), vinv);
-    const __m256 half = _mm256_or_ps(_mm256_and_ps(v, sign_mask), vhalf);
-    __m256 r = _mm256_add_ps(v, half);
-    r = _mm256_min_ps(_mm256_max_ps(r, vlo), vhi);
-    int32_t code_lanes[8];
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(code_lanes),
-                        _mm256_cvttps_epi32(r));
-    for (int k = 0; k < 8; ++k) {
-      q[i + static_cast<size_t>(k)] = static_cast<int8_t>(code_lanes[k]);
-    }
-  }
-  for (; i < dim; ++i) {
-    const float v = row[i] * inv;
-    float r = v + std::copysign(0.5f, v);
-    if (r > 127.0f) r = 127.0f;
-    if (r < -127.0f) r = -127.0f;
-    q[i] = static_cast<int8_t>(static_cast<int32_t>(r));
-  }
-  *scale = max_abs / 127.0f;
-}
-
 const KernelTable kAvx2Table = {
     DotF32Avx2,  DotF64Avx2,   SqDistF64Avx2, AxpyF32Avx2,
-    AxpyF64Avx2, ScaleF32Avx2, ScaleF64Avx2,
-    DotI8Avx2,   QuantizeRowI8Avx2, DenseF64Avx2, GramF64Avx2,
-    WeightedSumF32Avx2,
+    AxpyF64Avx2, ScaleF32Avx2, ScaleF64Avx2,  DenseF64Avx2,
+    GramF64Avx2, WeightedSumF32Avx2,
 };
 
 bool CpuHasAvx2() {

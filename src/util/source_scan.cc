@@ -460,10 +460,9 @@ void CheckNoParallelReduce(const FileCtx& ctx, std::vector<Finding>* out) {
 /// kernel-bypass-accumulation: a hand-rolled `acc += a[i] * b[i]` dot
 /// loop in the math subsystems compiles to whatever reduction order the
 /// optimizer picks and silently diverges from la::kernels' pinned
-/// summation tree. Route through kernels::Dot/Axpy/DenseLayer (or DotI8
-/// for int8 code paths — src/core and src/blocking consume the
-/// quantized kernels and are covered for the same reason; src/nn runs
-/// every forward pass through DenseLayer).
+/// summation tree. Route through kernels::Dot/Axpy/DenseLayer (src/core
+/// and src/blocking call the kernels directly and are covered for the
+/// same reason; src/nn runs every forward pass through DenseLayer).
 void CheckKernelBypassAccumulation(const FileCtx& ctx,
                                    std::vector<Finding>* out) {
   if (!ctx.InDir("src/la/") && !ctx.InDir("src/ml/") &&
@@ -508,8 +507,7 @@ void CheckKernelBypassAccumulation(const FileCtx& ctx,
     if (duplicated) {
       Emit(ctx, i, "kernel-bypass-accumulation",
            "scalar reduction over indexed products bypasses la::kernels' "
-           "pinned summation order; use kernels::Dot/Axpy (DotI8 for "
-           "quantized rows)",
+           "pinned summation order; use kernels::Dot/Axpy",
            out);
     }
   }

@@ -251,7 +251,7 @@ TEST(KernelBypassCheckTest, FiresOnDotLoopsInMathDirsOnly) {
                        "kernel-bypass-accumulation"));
   EXPECT_TRUE(HasCheck(Scan("src/la/x.cc", dot),
                        "kernel-bypass-accumulation"));
-  // The int8-kernel consumers are covered too.
+  // The kernel consumers in core and blocking are covered too.
   EXPECT_TRUE(HasCheck(Scan("src/core/x.cc", dot),
                        "kernel-bypass-accumulation"));
   EXPECT_TRUE(HasCheck(Scan("src/blocking/x.cc", dot),
@@ -270,8 +270,8 @@ TEST(KernelBypassCheckTest, FiresOnDotLoopsInMathDirsOnly) {
 }
 
 TEST(KernelBypassCheckTest, FiresOnInt8DotLoopAndHonorsSuppression) {
-  // A hand-rolled int8 dot in a consumer TU bypasses DotI8's exact
-  // int32 accumulation contract just like a float loop bypasses Dot's.
+  // An integer dot loop has the same shape as a float one, so the rule
+  // flags it in consumer TUs too.
   const std::string i8_dot =
       "for (size_t i = 0; i < n; ++i)\n"
       "  acc += static_cast<int32_t>(qa[i]) * static_cast<int32_t>(qb[i]);\n";
@@ -393,8 +393,8 @@ TEST(SimdCheckTest, IntrinsicsConfinedToKernelTus) {
 }
 
 TEST(SimdCheckTest, Int8IntrinsicsAndHeadersCoveredOutsideKernels) {
-  // The int8 tier's widening/madd intrinsics carry the same _mm prefixes
-  // and must stay confined to the kernel TUs like the float ones.
+  // Integer widening/madd intrinsics carry the same _mm prefixes and
+  // must stay confined to the kernel TUs like the float ones.
   EXPECT_TRUE(HasCheck(
       Scan("src/core/x.cc",
            "__m128i s = _mm_madd_epi16(_mm_srai_epi16(v, 8), w);\n"),
@@ -407,7 +407,7 @@ TEST(SimdCheckTest, Int8IntrinsicsAndHeadersCoveredOutsideKernels) {
                        "simd-outside-kernels"));
   EXPECT_TRUE(HasCheck(Scan("src/core/x.cc", "#include <pmmintrin.h>\n"),
                        "simd-outside-kernels"));
-  // The AVX2 kernel TU stays exempt for the int8 intrinsics too.
+  // The AVX2 kernel TU stays exempt for integer intrinsics too.
   EXPECT_FALSE(HasCheck(
       Scan("src/la/kernels_avx2.cc",
            "__m256i s = _mm256_madd_epi16(_mm256_cvtepi8_epi16(v), w);\n"),
