@@ -1,7 +1,5 @@
 #include "core/explainable_matcher.h"
 
-#include <cmath>
-
 #include "ml/classifier_pool.h"
 #include "ml/metrics.h"
 #include "util/logging.h"
@@ -81,10 +79,12 @@ void ExplainableMatcher::Fit(const std::vector<ScoredUnitSet>& train,
   raw_coefficients_ = scaler_.RawCoefficients(best_->SignedImportance());
 }
 
-double ExplainableMatcher::PredictProba(const ScoredUnitSet& set) const {
+double ExplainableMatcher::PredictProba(const ScoredUnitSet& set,
+                                        std::vector<double>* impacts) const {
   WYM_CHECK(fitted()) << "ExplainableMatcher used before Fit";
-  const double raw =
-      best_->PredictProba(scaler_.TransformRow(extractor_.Extract(set)));
+  std::vector<double> features;
+  extractor_.Compute(set, &features, raw_coefficients_, impacts);
+  const double raw = best_->PredictProba(scaler_.TransformRow(features));
   return ml::RecalibrateProba(raw, best_threshold_);
 }
 
@@ -107,23 +107,8 @@ int ExplainableMatcher::PredictWith(const ml::Classifier& classifier,
 std::vector<double> ExplainableMatcher::UnitImpacts(
     const ScoredUnitSet& set) const {
   WYM_CHECK(fitted()) << "ExplainableMatcher used before Fit";
-  const UnitAttribution attribution = extractor_.Attribution(set);
-  std::vector<double> impacts(set.size(), 0.0);
-  for (size_t u = 0; u < set.size(); ++u) {
-    // Paper §4.3: "the related coefficients are then multiplied by the
-    // relevance score, and the results averaged". Count-style features
-    // use the relevance magnitude (direction lives in the coefficient).
-    double sum = 0.0;
-    size_t touched = 0;
-    for (const FeatureContribution& c : attribution[u]) {
-      const double relevance =
-          c.magnitude ? std::abs(set.scores[u]) : set.scores[u];
-      sum += raw_coefficients_[c.feature] * c.weight * relevance;
-      ++touched;
-    }
-    if (touched == 0) continue;
-    impacts[u] = sum / static_cast<double>(touched);
-  }
+  std::vector<double> features, impacts;
+  extractor_.Compute(set, &features, raw_coefficients_, &impacts);
   return impacts;
 }
 
@@ -141,9 +126,10 @@ void ExplainableMatcher::Save(serde::Serializer* s) const {
   s->VecF64(raw_coefficients_);
 }
 
-bool ExplainableMatcher::Load(serde::Deserializer* d) {
+bool ExplainableMatcher::Load(serde::Deserializer* d, size_t num_attributes) {
   if (!d->Tag("matcher/v1")) return false;
-  const size_t num_attributes = d->U64();
+  // The width sizes the extractor, so it is checked before anything is.
+  if (d->U64() != num_attributes) return false;
   const bool simplified = d->Bool();
   extractor_ = FeatureExtractor(num_attributes, simplified);
   const bool was_fitted = d->Bool();
@@ -151,6 +137,10 @@ bool ExplainableMatcher::Load(serde::Deserializer* d) {
   best_ = nullptr;
   if (!was_fitted) return d->ok();
   if (!scaler_.Load(d)) return false;
+  // Every feature row goes through the scaler before the classifier.
+  if (!scaler_.fitted() || scaler_.mean().size() != extractor_.dim()) {
+    return false;
+  }
   best_name_ = d->Str();
   auto classifier = ml::MakeClassifier(best_name_, /*seed=*/0);
   if (classifier == nullptr) return false;

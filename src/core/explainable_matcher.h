@@ -16,7 +16,8 @@
 /// interpretable classifiers on the engineered features, keeps the one
 /// with the best validation F1, and computes per-unit impact scores by
 /// routing the learned coefficients back through the feature extractor's
-/// inverse transformation and multiplying by the relevance scores.
+/// inverse transformation and multiplying by the relevance scores — in
+/// the same feature pass that yields the match probability.
 
 namespace wym::core {
 
@@ -44,20 +45,19 @@ class ExplainableMatcher {
            const std::vector<ScoredUnitSet>& validation,
            const std::vector<int>& validation_labels);
 
-  /// Matching probability / hard prediction for one record's units.
-  double PredictProba(const ScoredUnitSet& set) const;
-  int Predict(const ScoredUnitSet& set) const {
-    return PredictProba(set) >= 0.5 ? 1 : 0;
-  }
+  /// Matching probability for one record's units; a non-null `impacts`
+  /// also receives each unit's impact score from the same feature pass.
+  double PredictProba(const ScoredUnitSet& set,
+                      std::vector<double>* impacts = nullptr) const;
 
   /// Prediction using a specific trained pool member (Table 5).
   int PredictWith(const ml::Classifier& classifier,
                   const ScoredUnitSet& set) const;
 
-  /// Impact score of each decision unit (paper §4.3): for unit u,
-  /// mean over features f touching u of (coef_f * attribution_{f,u}),
-  /// multiplied by u's relevance score. Positive impact pushes toward
-  /// match.
+  /// Impact score of each decision unit (paper §4.3), without running
+  /// the classifier: for unit u, the mean over features f touching u of
+  /// coef_f * attribution_{f,u} * relevance_u (FeatureExtractor::Compute).
+  /// Positive impact pushes toward match.
   std::vector<double> UnitImpacts(const ScoredUnitSet& set) const;
 
   const FeatureExtractor& extractor() const { return extractor_; }
@@ -75,9 +75,11 @@ class ExplainableMatcher {
 
   /// Serialization: persists the *selected* classifier (not the whole
   /// pool), the scaler and the impact bookkeeping — everything inference
-  /// and explanation need (see util/serde.h).
+  /// and explanation need (see util/serde.h). Load rejects a section
+  /// whose schema width is not `num_attributes` (the model config's) or
+  /// whose scaler does not span the feature row.
   void Save(serde::Serializer* s) const;
-  bool Load(serde::Deserializer* d);
+  bool Load(serde::Deserializer* d, size_t num_attributes);
 
  private:
   la::Matrix ToMatrix(const std::vector<ScoredUnitSet>& sets) const;

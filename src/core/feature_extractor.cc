@@ -1,6 +1,7 @@
 #include "core/feature_extractor.h"
 
 #include <algorithm>
+#include <cmath>
 
 #include "util/logging.h"
 
@@ -31,17 +32,28 @@ const char* StatName(Stat stat) {
   return "?";
 }
 
-/// Emits one statistic over the group `members` (unit indices) and, when
-/// `attribution` is non-null, the corresponding per-unit weights.
+/// The impact side of one Compute pass: per unit, the running sum of
+/// coefficient x weight x relevance and the number of attributions.
+/// `sums` is null when the pass collects no impacts.
+struct ImpactSums {
+  std::span<const double> coefficients;
+  std::vector<double>* sums = nullptr;
+  std::vector<size_t> touched;
+};
+
+/// Emits one statistic over the group `members` (unit indices) and adds
+/// each member's attribution to `impacts`.
 void EmitStat(Stat stat, const std::vector<size_t>& members,
               const std::vector<double>& scores, size_t feature_index,
-              std::vector<double>* features, UnitAttribution* attribution) {
+              std::vector<double>* features, ImpactSums* impacts) {
   const size_t n = members.size();
-  const bool magnitude = (stat == Stat::kCount);
   auto attribute = [&](size_t unit, double weight) {
-    if (attribution != nullptr && weight != 0.0) {
-      (*attribution)[unit].push_back({feature_index, weight, magnitude});
-    }
+    if (impacts->sums == nullptr || weight == 0.0) return;
+    const double relevance =
+        stat == Stat::kCount ? std::abs(scores[unit]) : scores[unit];
+    (*impacts->sums)[unit] +=
+        impacts->coefficients[feature_index] * weight * relevance;
+    ++impacts->touched[unit];
   };
 
   if (n == 0) {
@@ -177,12 +189,16 @@ FeatureExtractor::FeatureExtractor(size_t num_attributes, bool simplified)
 
 void FeatureExtractor::Compute(const ScoredUnitSet& set,
                                std::vector<double>* features,
-                               UnitAttribution* attribution) const {
+                               std::span<const double> coefficients,
+                               std::vector<double>* impacts) const {
   WYM_CHECK_EQ(set.units.size(), set.scores.size());
   features->clear();
   features->reserve(dim());
-  if (attribution != nullptr) {
-    attribution->assign(set.size(), {});
+  ImpactSums sums{coefficients, impacts, {}};
+  if (impacts != nullptr) {
+    WYM_CHECK_EQ(coefficients.size(), dim());
+    impacts->assign(set.size(), 0.0);
+    sums.touched.assign(set.size(), 0);
   }
 
   // Group memberships.
@@ -210,7 +226,7 @@ void FeatureExtractor::Compute(const ScoredUnitSet& set,
 
   size_t f = 0;
   auto emit = [&](Stat stat, const std::vector<size_t>& group) {
-    EmitStat(stat, group, set.scores, f++, features, attribution);
+    EmitStat(stat, group, set.scores, f++, features, &sums);
   };
 
   if (simplified_) {
@@ -220,54 +236,49 @@ void FeatureExtractor::Compute(const ScoredUnitSet& set,
     emit(Stat::kMean, positive);
     emit(Stat::kCount, negative);
     emit(Stat::kMean, negative);
-    WYM_CHECK_EQ(f, dim());
-    return;
+  } else {
+    for (size_t a = 0; a < num_attributes_; ++a) {
+      emit(Stat::kCount, attr_paired[a]);
+      emit(Stat::kMean, attr_paired[a]);
+      emit(Stat::kMax, attr_paired[a]);
+      emit(Stat::kMin, attr_paired[a]);
+      emit(Stat::kCount, attr_unpaired[a]);
+      emit(Stat::kMean, attr_unpaired[a]);
+      emit(Stat::kMin, attr_unpaired[a]);
+    }
+    emit(Stat::kCount, left_unpaired);
+    emit(Stat::kMean, left_unpaired);
+    emit(Stat::kCount, right_unpaired);
+    emit(Stat::kMean, right_unpaired);
+    emit(Stat::kCount, all);
+    emit(Stat::kSum, all);
+    emit(Stat::kMean, all);
+    emit(Stat::kMedian, all);
+    emit(Stat::kMax, all);
+    emit(Stat::kMin, all);
+    emit(Stat::kRange, all);
+    emit(Stat::kCount, positive);
+    emit(Stat::kSum, positive);
+    emit(Stat::kMean, positive);
+    emit(Stat::kCount, negative);
+    emit(Stat::kSum, negative);
+    emit(Stat::kMean, negative);
+    emit(Stat::kCount, paired);
+    emit(Stat::kMean, paired);
+    emit(Stat::kCount, unpaired);
+    emit(Stat::kMean, unpaired);
   }
-
-  for (size_t a = 0; a < num_attributes_; ++a) {
-    emit(Stat::kCount, attr_paired[a]);
-    emit(Stat::kMean, attr_paired[a]);
-    emit(Stat::kMax, attr_paired[a]);
-    emit(Stat::kMin, attr_paired[a]);
-    emit(Stat::kCount, attr_unpaired[a]);
-    emit(Stat::kMean, attr_unpaired[a]);
-    emit(Stat::kMin, attr_unpaired[a]);
-  }
-  emit(Stat::kCount, left_unpaired);
-  emit(Stat::kMean, left_unpaired);
-  emit(Stat::kCount, right_unpaired);
-  emit(Stat::kMean, right_unpaired);
-  emit(Stat::kCount, all);
-  emit(Stat::kSum, all);
-  emit(Stat::kMean, all);
-  emit(Stat::kMedian, all);
-  emit(Stat::kMax, all);
-  emit(Stat::kMin, all);
-  emit(Stat::kRange, all);
-  emit(Stat::kCount, positive);
-  emit(Stat::kSum, positive);
-  emit(Stat::kMean, positive);
-  emit(Stat::kCount, negative);
-  emit(Stat::kSum, negative);
-  emit(Stat::kMean, negative);
-  emit(Stat::kCount, paired);
-  emit(Stat::kMean, paired);
-  emit(Stat::kCount, unpaired);
-  emit(Stat::kMean, unpaired);
   WYM_CHECK_EQ(f, dim());
+  // The mean over each unit's attributions (no units without impacts).
+  for (size_t u = 0; u < sums.touched.size(); ++u) {
+    if (sums.touched[u] > 0) (*impacts)[u] /= sums.touched[u];
+  }
 }
 
 std::vector<double> FeatureExtractor::Extract(const ScoredUnitSet& set) const {
   std::vector<double> features;
-  Compute(set, &features, nullptr);
+  Compute(set, &features);
   return features;
-}
-
-UnitAttribution FeatureExtractor::Attribution(const ScoredUnitSet& set) const {
-  std::vector<double> features;
-  UnitAttribution attribution;
-  Compute(set, &features, &attribution);
-  return attribution;
 }
 
 }  // namespace wym::core

@@ -2,8 +2,8 @@
 #define WYM_CORE_FEATURE_EXTRACTOR_H_
 
 #include <cstddef>
+#include <span>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "core/decision_unit.h"
@@ -13,10 +13,9 @@
 /// (max, min, count, sum, mean, median, range) over the relevance scores,
 /// aggregated per attribute, per entity description and per record —
 /// injecting structural and pragmatic knowledge into the classifier. The
-/// extractor also provides the *inverse* transformation: for every
-/// feature, the attribution weight of each decision unit (e.g. 1/N for a
-/// mean over N units), which routes trained coefficients back to units to
-/// form impact scores.
+/// same pass applies the *inverse* transformation: given the classifier's
+/// raw coefficients, it routes each one back to the units its feature
+/// aggregates, which forms their impact scores.
 
 namespace wym::core {
 
@@ -27,21 +26,6 @@ struct ScoredUnitSet {
 
   size_t size() const { return units.size(); }
 };
-
-/// One feature's contribution channel to a unit.
-struct FeatureContribution {
-  size_t feature = 0;
-  double weight = 0.0;
-  /// Count-style features carry their direction in the coefficient, so
-  /// their impact uses |relevance| instead of the signed relevance
-  /// (otherwise an unpaired unit's negative relevance would flip the sign
-  /// of a negative "unpaired_count" coefficient into a spurious positive
-  /// impact).
-  bool magnitude = false;
-};
-
-/// Sparse per-unit attribution: attribution[u] lists the contributions.
-using UnitAttribution = std::vector<std::vector<FeatureContribution>>;
 
 /// Turns scored units into classifier features.
 class FeatureExtractor {
@@ -63,16 +47,20 @@ class FeatureExtractor {
   /// Extracts the feature row of one record.
   std::vector<double> Extract(const ScoredUnitSet& set) const;
 
-  /// The inverse transformation: per-unit attribution weights over the
-  /// features (paper §4.3: a mean over N units contributes 1/N to each;
-  /// sums contribute 1; counts spread 1/N; min/max/median attach to the
-  /// achieving unit; range is +1 on the max and -1 on the min unit).
-  UnitAttribution Attribution(const ScoredUnitSet& set) const;
+  /// One pass over `set`: the feature row into `*features` and, when
+  /// `impacts` is non-null, each unit's impact under the raw
+  /// `coefficients` (one per feature) into `*impacts` (paper §4.3): the
+  /// mean over its attributions of coefficient x weight x relevance, with
+  /// |relevance| for counts, whose direction lives in the coefficient.
+  /// Weights: 1/N per unit of a count or mean over N, 1 per unit of a sum,
+  /// 1 on the unit achieving a min, max or odd median, 0.5 on each middle
+  /// unit of an even median, +1 / -1 on the max / min unit of a range. A
+  /// unit no feature touches has impact 0.
+  void Compute(const ScoredUnitSet& set, std::vector<double>* features,
+               std::span<const double> coefficients = {},
+               std::vector<double>* impacts = nullptr) const;
 
  private:
-  void Compute(const ScoredUnitSet& set, std::vector<double>* features,
-               UnitAttribution* attribution) const;
-
   size_t num_attributes_;
   bool simplified_;
   std::vector<std::string> names_;

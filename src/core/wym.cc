@@ -24,6 +24,10 @@ constexpr char kSectionEncoder[] = "encoder";
 constexpr char kSectionScorer[] = "scorer";
 constexpr char kSectionMatcher[] = "matcher";
 
+/// The widest schema a model takes: it bounds what a model file's config
+/// may make the extractor and serve allocate.
+constexpr uint64_t kMaxAttributes = 1024;
+
 /// Serialized prefix of a legacy (format v1) model stream: the
 /// length-prefixed "wym-model/v1" tag the v1 writer put first.
 constexpr char kLegacyPrefix[] = "12 wym-model/v1";
@@ -57,6 +61,28 @@ std::vector<size_t> Explanation::RankByImpactMagnitude() const {
   return order;
 }
 
+std::vector<size_t> Explanation::RankTowardClass(int label) const {
+  std::vector<size_t> order(units.size());
+  for (size_t i = 0; i < order.size(); ++i) order[i] = i;
+  std::stable_sort(order.begin(), order.end(), [&](size_t a, size_t b) {
+    const double ia = units[a].impact;
+    const double ib = units[b].impact;
+    return label == 1 ? ia > ib : ia < ib;
+  });
+  return order;
+}
+
+ScoredUnitSet Explanation::SubsetUnits(const std::vector<size_t>& keep) const {
+  ScoredUnitSet set;
+  set.units.reserve(keep.size());
+  set.scores.reserve(keep.size());
+  for (size_t u : keep) {
+    set.units.push_back(units[u].unit);
+    set.scores.push_back(units[u].relevance);
+  }
+  return set;
+}
+
 WymModel::WymModel(WymConfig config)
     : config_(std::move(config)),
       tokenizer_(config_.tokenizer),
@@ -75,6 +101,7 @@ void WymModel::Fit(const data::Dataset& train,
     records.Add(train.size());
   }
   num_attributes_ = train.schema.size();
+  WYM_CHECK_LE(num_attributes_, kMaxAttributes) << "schema too wide";
 
   // Rebuild stateful components so Fit is idempotent.
   encoder_ = embedding::SemanticEncoder(config_.encoder);
@@ -236,8 +263,9 @@ std::vector<double> WymModel::ScoreUnits(
   return scorer_.Score(record, units);
 }
 
-double WymModel::PredictProbaFromUnits(const ScoredUnitSet& set) const {
-  const double proba = matcher_.PredictProba(set);
+double WymModel::PredictProbaFromUnits(const ScoredUnitSet& set,
+                                       std::vector<double>* impacts) const {
+  const double proba = matcher_.PredictProba(set, impacts);
   // Matcher stage boundary: probabilities must be finite (the classifier
   // pool squashes through a logistic, so NaN means poisoned features).
   WYM_DCHECK(std::isfinite(proba)) << "non-finite match probability";
@@ -264,14 +292,15 @@ Explanation WymModel::ExplainRecord(const TokenizedRecord& tokenized,
       << "non-finite unit relevance score";
 
   Explanation out;
-  out.probability = PredictProbaFromUnits(set);
+  std::vector<double> impacts;
+  out.probability =
+      PredictProbaFromUnits(set, with_units ? &impacts : nullptr);
   if (!std::isfinite(out.probability)) {
     if (reason != nullptr) *reason = "non-finite match probability";
     return {};  // Non-match fallback; reported, never NaN.
   }
   out.prediction = out.probability >= 0.5 ? 1 : 0;
   if (!with_units) return out;
-  const std::vector<double> impacts = matcher_.UnitImpacts(set);
   out.units.reserve(set.size());
   for (size_t u = 0; u < set.size(); ++u) {
     out.units.push_back({set.units[u], set.scores[u], impacts[u]});
@@ -545,7 +574,7 @@ Result<WymModel> WymModel::LoadFromFile(const std::string& path,
     return Status::Corruption("bad config section tag: " + path);
   }
   ReadConfigFields(&config_reader, &config, &rule_count, &num_attributes);
-  if (!config_reader.ok()) {
+  if (!config_reader.ok() || num_attributes > kMaxAttributes) {
     return Status::Corruption("bad config section: " + path);
   }
   WYM_RETURN_IF_ERROR(CheckRuleCount(rule_count, rules));
@@ -586,7 +615,9 @@ Result<WymModel> WymModel::LoadFromFile(const std::string& path,
   if (!payload.ok()) return payload.status();
   WYM_RETURN_IF_ERROR(load_component(
       *payload.value(), kSectionMatcher,
-      [&model](serde::Deserializer* d) { return model.matcher_.Load(d); }));
+      [&model](serde::Deserializer* d) {
+        return model.matcher_.Load(d, model.num_attributes_);
+      }));
   // Only a model that validated whole pays for the frozen memo tier.
   model.encoder_.FreezeVocabulary();
   model.fitted_ = true;

@@ -106,6 +106,14 @@ struct Explanation {
   /// Unit indices sorted by |impact| descending (explanation reading
   /// order; also used by the conciseness and MoRF/LeRF evaluations).
   std::vector<size_t> RankByImpactMagnitude() const;
+
+  /// Unit indices ranked by signed impact toward class `label`:
+  /// descending impact for 1, ascending for 0 (stable under ties).
+  std::vector<size_t> RankTowardClass(int label) const;
+
+  /// The units at indices `keep`, in that order, as a set to re-predict
+  /// from.
+  ScoredUnitSet SubsetUnits(const std::vector<size_t>& keep) const;
 };
 
 /// The intrinsically interpretable EM system.
@@ -181,8 +189,10 @@ class WymModel : public Matcher {
 
   /// Probability from an explicit (possibly perturbed) scored unit set —
   /// the entry point of the MoRF/LeRF/sufficiency experiments, which
-  /// remove units and re-predict.
-  double PredictProbaFromUnits(const ScoredUnitSet& set) const;
+  /// remove units and re-predict. A non-null `impacts` also receives each
+  /// unit's impact score from the same feature pass.
+  double PredictProbaFromUnits(const ScoredUnitSet& set,
+                               std::vector<double>* impacts = nullptr) const;
 
   /// Persists the trained pipeline (encoder state, scorer network,
   /// selected classifier, calibration) in model-file format v2: a framed
@@ -226,8 +236,9 @@ class WymModel : public Matcher {
   /// The record pipeline, EX(r) of paper §3.1, behind every entry
   /// point, over a prepared record: decision units, relevance scores
   /// and the match probability; impacts and ExplainedUnits only when
-  /// `with_units`. A degenerate record yields the empty non-match
-  /// explanation and sets `*reason` (when non-null).
+  /// `with_units`, from the feature pass behind the probability (one
+  /// FeatureExtractor::Compute per record). A degenerate record yields
+  /// the empty non-match explanation and sets `*reason` (when non-null).
   Explanation ExplainRecord(const TokenizedRecord& tokenized, bool with_units,
                             std::string* reason) const;
 

@@ -14,13 +14,7 @@ Counterfactual FindCounterfactual(const core::WymModel& model,
   const int original = explanation.prediction;
 
   // Units ranked by how strongly they support the current prediction.
-  std::vector<size_t> order(explanation.units.size());
-  for (size_t i = 0; i < order.size(); ++i) order[i] = i;
-  std::stable_sort(order.begin(), order.end(), [&](size_t a, size_t b) {
-    const double ia = explanation.units[a].impact;
-    const double ib = explanation.units[b].impact;
-    return original == 1 ? ia > ib : ia < ib;
-  });
+  const std::vector<size_t> order = explanation.RankTowardClass(original);
 
   std::vector<bool> removed(explanation.units.size(), false);
   for (size_t step = 0;
@@ -28,12 +22,11 @@ Counterfactual FindCounterfactual(const core::WymModel& model,
     removed[order[step]] = true;
     out.removed_units.push_back(order[step]);
 
-    core::ScoredUnitSet remaining;
+    std::vector<size_t> keep;
     for (size_t u = 0; u < explanation.units.size(); ++u) {
-      if (removed[u]) continue;
-      remaining.units.push_back(explanation.units[u].unit);
-      remaining.scores.push_back(explanation.units[u].relevance);
+      if (!removed[u]) keep.push_back(u);
     }
+    const core::ScoredUnitSet remaining = explanation.SubsetUnits(keep);
     const double proba = remaining.units.empty()
                              ? 0.0
                              : model.PredictProbaFromUnits(remaining);

@@ -12,36 +12,6 @@
 
 namespace wym::explain {
 
-namespace {
-
-/// Unit indices ranked by signed impact toward class `label`:
-/// descending impact for label 1, ascending for label 0.
-std::vector<size_t> RankTowardClass(const core::Explanation& explanation,
-                                    int label) {
-  std::vector<size_t> order(explanation.units.size());
-  for (size_t i = 0; i < order.size(); ++i) order[i] = i;
-  std::stable_sort(order.begin(), order.end(), [&](size_t a, size_t b) {
-    const double ia = explanation.units[a].impact;
-    const double ib = explanation.units[b].impact;
-    return label == 1 ? ia > ib : ia < ib;
-  });
-  return order;
-}
-
-core::ScoredUnitSet SubsetUnits(const core::Explanation& explanation,
-                                const std::vector<size_t>& keep) {
-  core::ScoredUnitSet set;
-  set.units.reserve(keep.size());
-  set.scores.reserve(keep.size());
-  for (size_t u : keep) {
-    set.units.push_back(explanation.units[u].unit);
-    set.scores.push_back(explanation.units[u].relevance);
-  }
-  return set;
-}
-
-}  // namespace
-
 double CumulativeImpactShare(const core::Explanation& explanation,
                              double fraction) {
   if (explanation.units.empty()) return 1.0;
@@ -86,7 +56,7 @@ double PostHocAccuracyWym(const core::WymModel& model,
   for (const auto& record : test.records) {
     const core::Explanation explanation = model.Explain(record);
     const std::vector<size_t> order =
-        RankTowardClass(explanation, explanation.prediction);
+        explanation.RankTowardClass(explanation.prediction);
     std::vector<size_t> keep(
         order.begin(),
         order.begin() +
@@ -94,7 +64,7 @@ double PostHocAccuracyWym(const core::WymModel& model,
     const double proba =
         explanation.units.empty()
             ? explanation.probability
-            : model.PredictProbaFromUnits(SubsetUnits(explanation, keep));
+            : model.PredictProbaFromUnits(explanation.SubsetUnits(keep));
     const int subset_prediction = proba >= 0.5 ? 1 : 0;
     if (subset_prediction == explanation.prediction) ++agree;
   }
@@ -157,10 +127,10 @@ double F1AfterUnitRemoval(const core::WymModel& model,
     std::vector<size_t> order;
     switch (strategy) {
       case RemovalStrategy::kMoRF:
-        order = RankTowardClass(explanation, record.label);
+        order = explanation.RankTowardClass(record.label);
         break;
       case RemovalStrategy::kLeRF: {
-        order = RankTowardClass(explanation, record.label);
+        order = explanation.RankTowardClass(record.label);
         std::reverse(order.begin(), order.end());
         break;
       }
@@ -177,7 +147,7 @@ double F1AfterUnitRemoval(const core::WymModel& model,
     const double proba =
         keep.empty()
             ? 0.0  // Nothing left to support a match.
-            : model.PredictProbaFromUnits(SubsetUnits(explanation, keep));
+            : model.PredictProbaFromUnits(explanation.SubsetUnits(keep));
     truth.push_back(record.label);
     predicted.push_back(proba >= 0.5 ? 1 : 0);
   }

@@ -1,8 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <set>
+#include <string>
 
 #include "core/decision_unit.h"
 #include "core/explainable_matcher.h"
@@ -541,28 +543,53 @@ TEST(FeatureExtractorTest, EmptySetIsAllZero) {
   for (double v : f) EXPECT_DOUBLE_EQ(v, 0.0);
 }
 
+/// Impacts under a coefficient vector that is 1 on the feature `name`
+/// and 0 elsewhere: each unit's impact is then the weight that feature
+/// routes to it times its relevance, over the number of attributions
+/// the unit receives from all features.
+std::vector<double> OneHotImpacts(const FeatureExtractor& extractor,
+                                  const ScoredUnitSet& set,
+                                  const std::string& name) {
+  const auto& names = extractor.feature_names();
+  std::vector<double> coefficients(names.size(), 0.0);
+  const auto it = std::find(names.begin(), names.end(), name);
+  EXPECT_NE(it, names.end()) << name;
+  if (it != names.end()) coefficients[it - names.begin()] = 1.0;
+  std::vector<double> features, impacts;
+  extractor.Compute(set, &features, coefficients, &impacts);
+  EXPECT_EQ(impacts.size(), set.size());
+  return impacts;
+}
+
 TEST(FeatureExtractorTest, AttributionWeightsAreInverse) {
   const FeatureExtractor extractor(2, /*simplified=*/true);
   const ScoredUnitSet set = MakeScoredSet();
-  const UnitAttribution attribution = extractor.Attribution(set);
-  ASSERT_EQ(attribution.size(), set.size());
+  // Every unit receives exactly four attributions: all_count, all_mean,
+  // and count + mean of its sign group.
+  constexpr double kTouched = 4.0;
 
-  // Every unit participates in all_count (1/5) and all_mean (1/5).
+  // all_count spreads 1/5 onto |relevance|: a negative unit still gets a
+  // positive share of a positive count coefficient.
+  const auto all_count = OneHotImpacts(extractor, set, "all_count");
   for (size_t u = 0; u < set.size(); ++u) {
-    double count_weight = 0.0, mean_weight = 0.0;
-    for (const auto& c : attribution[u]) {
-      if (c.feature == 0) {
-        count_weight = c.weight;
-        EXPECT_TRUE(c.magnitude);  // Count features use |relevance|.
-      }
-      if (c.feature == 1) {
-        mean_weight = c.weight;
-        EXPECT_FALSE(c.magnitude);
-      }
-    }
-    EXPECT_NEAR(count_weight, 0.2, 1e-12);
-    EXPECT_NEAR(mean_weight, 0.2, 1e-12);
+    EXPECT_DOUBLE_EQ(all_count[u], 0.2 * std::abs(set.scores[u]) / kTouched)
+        << u;
   }
+  EXPECT_GT(all_count[2], 0.0);  // Relevance -0.9.
+
+  // all_mean spreads 1/5 onto the signed relevance.
+  const auto all_mean = OneHotImpacts(extractor, set, "all_mean");
+  for (size_t u = 0; u < set.size(); ++u) {
+    EXPECT_DOUBLE_EQ(all_mean[u], 0.2 * set.scores[u] / kTouched) << u;
+  }
+
+  // pos_count spreads 1/3 over the three positive units only.
+  const auto pos_count = OneHotImpacts(extractor, set, "pos_count");
+  for (size_t u : {0u, 1u, 3u}) {
+    EXPECT_DOUBLE_EQ(pos_count[u], set.scores[u] / 3.0 / kTouched) << u;
+  }
+  EXPECT_EQ(pos_count[2], 0.0);
+  EXPECT_EQ(pos_count[4], 0.0);
 }
 
 TEST(FeatureExtractorTest, MinMaxAttachToAchievingUnit) {
@@ -574,22 +601,198 @@ TEST(FeatureExtractorTest, MinMaxAttachToAchievingUnit) {
     set.units.push_back(unit);
     set.scores.push_back(score);
   }
-  const auto& names = extractor.feature_names();
-  size_t max_feature = 0, min_feature = 0;
-  for (size_t f = 0; f < names.size(); ++f) {
-    if (names[f] == "all_max") max_feature = f;
-    if (names[f] == "all_min") min_feature = f;
-  }
-  const UnitAttribution attribution = extractor.Attribution(set);
-  auto weight_on = [&](size_t unit, size_t feature) {
-    for (const auto& c : attribution[unit]) {
-      if (c.feature == feature) return c.weight;
+  // Attributions per unit. All three receive attr0_paired count + mean,
+  // all count + sum + mean, their sign group's count + sum + mean and
+  // paired count + mean (10). On top of that unit 0 (0.9) gets
+  // attr0_paired_max, all_max and all_range's +1 (13), unit 1 (-0.7)
+  // gets attr0_paired_min, all_min and all_range's -1 (13), and unit 2
+  // (0.2) gets all_median (11).
+  const double touched[] = {13.0, 13.0, 11.0};
+
+  const auto max = OneHotImpacts(extractor, set, "all_max");
+  EXPECT_DOUBLE_EQ(max[0], 0.9 / touched[0]);
+  EXPECT_EQ(max[1], 0.0);
+  EXPECT_EQ(max[2], 0.0);
+
+  const auto min = OneHotImpacts(extractor, set, "all_min");
+  EXPECT_EQ(min[0], 0.0);
+  EXPECT_DOUBLE_EQ(min[1], -0.7 / touched[1]);
+  EXPECT_EQ(min[2], 0.0);
+
+  // Range = max - min: +1 on the max unit, -1 on the min unit.
+  const auto range = OneHotImpacts(extractor, set, "all_range");
+  EXPECT_DOUBLE_EQ(range[0], 1.0 * 0.9 / touched[0]);
+  EXPECT_DOUBLE_EQ(range[1], -1.0 * -0.7 / touched[1]);
+  EXPECT_EQ(range[2], 0.0);
+
+  // The per-attribute max and min follow the same rule.
+  const auto attr_max = OneHotImpacts(extractor, set, "attr0_paired_max");
+  EXPECT_DOUBLE_EQ(attr_max[0], 0.9 / touched[0]);
+  EXPECT_EQ(attr_max[1], 0.0);
+  const auto attr_min = OneHotImpacts(extractor, set, "attr0_paired_min");
+  EXPECT_DOUBLE_EQ(attr_min[1], -0.7 / touched[1]);
+  EXPECT_EQ(attr_min[0], 0.0);
+}
+
+// The sparse attribution the extractor built in a second pass before
+// impacts came out of the feature pass: one contribution list per unit,
+// folded into a weighted mean. Groups and statistics are rebuilt from
+// the feature names, so the reference shares no code with Compute.
+struct ReferenceContribution {
+  size_t feature = 0;
+  double weight = 0.0;
+  bool magnitude = false;
+};
+
+std::vector<double> ReferenceImpacts(const FeatureExtractor& extractor,
+                                     const ScoredUnitSet& set,
+                                     const std::vector<double>& coefficients) {
+  const size_t width = extractor.num_attributes();
+  auto in_group = [&](const std::string& group, size_t u) {
+    const DecisionUnit& unit = set.units[u];
+    const double score = set.scores[u];
+    if (group == "all") return true;
+    if (group == "pos") return score > 0.0;
+    if (group == "neg") return !(score > 0.0);
+    if (group == "paired") return unit.paired;
+    if (group == "unpaired") return !unit.paired;
+    if (group == "left_unpaired") {
+      return !unit.paired && unit.unpaired_side == Side::kLeft;
     }
-    return 0.0;
+    if (group == "right_unpaired") {
+      return !unit.paired && unit.unpaired_side == Side::kRight;
+    }
+    // "attr<a>_paired" / "attr<a>_unpaired"; anchors past the schema
+    // width fold into the last attribute.
+    const size_t cut = group.find('_');
+    const size_t attr = std::stoul(group.substr(4, cut - 4));
+    const bool paired = group.substr(cut + 1) == "paired";
+    return unit.paired == paired &&
+           std::min(unit.AnchorAttribute(), width - 1) == attr;
   };
-  EXPECT_DOUBLE_EQ(weight_on(0, max_feature), 1.0);  // 0.9 achieves max.
-  EXPECT_DOUBLE_EQ(weight_on(1, max_feature), 0.0);
-  EXPECT_DOUBLE_EQ(weight_on(1, min_feature), 1.0);  // -0.7 achieves min.
+
+  std::vector<std::vector<ReferenceContribution>> attribution(set.size());
+  const auto& names = extractor.feature_names();
+  for (size_t f = 0; f < names.size(); ++f) {
+    const size_t cut = names[f].rfind('_');
+    const std::string group = names[f].substr(0, cut);
+    const std::string stat = names[f].substr(cut + 1);
+    std::vector<size_t> members;
+    for (size_t u = 0; u < set.size(); ++u) {
+      if (in_group(group, u)) members.push_back(u);
+    }
+    const size_t n = members.size();
+    if (n == 0) continue;
+    auto attribute = [&](size_t u, double weight) {
+      if (weight != 0.0) {
+        attribution[u].push_back({f, weight, stat == "count"});
+      }
+    };
+    const auto& scores = set.scores;
+    if (stat == "count" || stat == "mean") {
+      for (size_t u : members) attribute(u, 1.0 / static_cast<double>(n));
+    } else if (stat == "sum") {
+      for (size_t u : members) attribute(u, 1.0);
+    } else if (stat == "median") {
+      std::vector<size_t> sorted = members;
+      std::stable_sort(sorted.begin(), sorted.end(), [&](size_t a, size_t b) {
+        return scores[a] < scores[b];
+      });
+      if (n % 2 == 1) {
+        attribute(sorted[n / 2], 1.0);
+      } else {
+        attribute(sorted[n / 2 - 1], 0.5);
+        attribute(sorted[n / 2], 0.5);
+      }
+    } else {
+      size_t max_u = members[0], min_u = members[0];
+      for (size_t u : members) {
+        if (scores[u] > scores[max_u]) max_u = u;
+        if (scores[u] < scores[min_u]) min_u = u;
+      }
+      if (stat == "max" || stat == "range") attribute(max_u, 1.0);
+      if (stat == "min") attribute(min_u, 1.0);
+      if (stat == "range") attribute(min_u, -1.0);
+    }
+  }
+
+  std::vector<double> impacts(set.size(), 0.0);
+  for (size_t u = 0; u < set.size(); ++u) {
+    double sum = 0.0;
+    size_t touched = 0;
+    for (const ReferenceContribution& c : attribution[u]) {
+      const double relevance =
+          c.magnitude ? std::abs(set.scores[u]) : set.scores[u];
+      sum += coefficients[c.feature] * c.weight * relevance;
+      ++touched;
+    }
+    if (touched == 0) continue;
+    impacts[u] = sum / static_cast<double>(touched);
+  }
+  return impacts;
+}
+
+bool SameBits(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() &&
+         (a.empty() ||
+          std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0);
+}
+
+TEST(FeatureExtractorTest, OnePassImpactsMatchSparseReferenceBitForBit) {
+  Rng rng(18);
+  // Few distinct scores, zero among them, so max, min and median ties
+  // are common; every fourth set draws continuous scores instead.
+  const double kScores[] = {-0.9, -0.4, 0.0, 0.3, 0.7};
+  size_t empty = 0, even = 0, max_ties = 0, min_ties = 0, median_ties = 0,
+         zeros = 0;
+  for (int trial = 0; trial < 300; ++trial) {
+    const size_t width = 1 + rng.Index(3);
+    const size_t n = rng.Index(14);
+    ScoredUnitSet set;
+    for (size_t u = 0; u < n; ++u) {
+      DecisionUnit unit;
+      unit.paired = rng.Bernoulli(0.5);
+      unit.unpaired_side = rng.Bernoulli(0.5) ? Side::kLeft : Side::kRight;
+      // Up to one attribute past the width exercises the clamp.
+      unit.left.attribute = rng.Index(width + 1);
+      unit.right.attribute = rng.Index(width + 1);
+      set.units.push_back(unit);
+      set.scores.push_back(trial % 4 == 3 ? rng.Uniform(-1.0, 1.0)
+                                          : kScores[rng.Index(5)]);
+    }
+
+    std::vector<double> sorted = set.scores;
+    std::sort(sorted.begin(), sorted.end());
+    empty += n == 0;
+    even += n > 0 && n % 2 == 0;
+    max_ties += n > 1 && sorted[n - 1] == sorted[n - 2];
+    min_ties += n > 1 && sorted[0] == sorted[1];
+    median_ties += n > 2 && (sorted[n / 2] == sorted[n / 2 - 1] ||
+                             sorted[n / 2] == sorted[n / 2 + 1]);
+    zeros += std::count(sorted.begin(), sorted.end(), 0.0) > 0;
+
+    for (bool simplified : {false, true}) {
+      const FeatureExtractor extractor(width, simplified);
+      std::vector<double> coefficients(extractor.dim());
+      for (double& c : coefficients) c = rng.Normal(0.0, 2.0);
+      std::vector<double> features, impacts;
+      extractor.Compute(set, &features, coefficients, &impacts);
+      const std::vector<double> expected =
+          ReferenceImpacts(extractor, set, coefficients);
+      EXPECT_TRUE(SameBits(impacts, expected))
+          << "trial " << trial << " simplified " << simplified;
+      // Collecting impacts leaves the feature row's bits alone.
+      EXPECT_TRUE(SameBits(features, extractor.Extract(set)))
+          << "trial " << trial << " simplified " << simplified;
+    }
+  }
+  // The draw covers the cases the attribution rules single out.
+  EXPECT_GT(empty, 0u);
+  EXPECT_GT(even, 50u);
+  EXPECT_GT(max_ties, 50u);
+  EXPECT_GT(min_ties, 50u);
+  EXPECT_GT(median_ties, 50u);
+  EXPECT_GT(zeros, 50u);
 }
 
 // ---------------------------------------------------------------------

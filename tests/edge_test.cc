@@ -72,17 +72,23 @@ TEST(FeatureExtractorEdgeTest, EvenMedianSplitsAttribution) {
   for (size_t f = 0; f < names.size(); ++f) {
     if (names[f] == "all_median") median_feature = f;
   }
-  // Value = mean of middle two; each contributes weight 0.5.
+  // Value = mean of middle two; each gets half of the median's
+  // coefficient. Under a coefficient of 1 on all_median alone, a unit's
+  // impact is its weight times its relevance over the 11 attributions
+  // it receives (attr0_paired count + mean, all count + sum + mean,
+  // pos count + sum + mean, paired count + mean, all_median); the
+  // middle units achieve no max, min or range.
   const auto features = extractor.Extract(set);
   EXPECT_NEAR(features[median_feature], 0.25, 1e-12);
-  const auto attribution = extractor.Attribution(set);
-  double total_weight = 0.0;
-  for (size_t u = 0; u < set.size(); ++u) {
-    for (const auto& c : attribution[u]) {
-      if (c.feature == median_feature) total_weight += c.weight;
-    }
-  }
-  EXPECT_NEAR(total_weight, 1.0, 1e-12);
+  std::vector<double> coefficients(extractor.dim(), 0.0);
+  coefficients[median_feature] = 1.0;
+  std::vector<double> row, impacts;
+  extractor.Compute(set, &row, coefficients, &impacts);
+  ASSERT_EQ(impacts.size(), set.size());
+  EXPECT_EQ(impacts[0], 0.0);
+  EXPECT_DOUBLE_EQ(impacts[1], 0.5 * 0.2 / 11.0);
+  EXPECT_DOUBLE_EQ(impacts[2], 0.5 * 0.3 / 11.0);
+  EXPECT_EQ(impacts[3], 0.0);
 }
 
 TEST(MetricsEdgeTest, ThresholdHelpersDegenerateInputs) {

@@ -25,6 +25,7 @@
 #include <utility>
 #include <vector>
 
+#include "core/feature_extractor.h"
 #include "core/wym.h"
 #include "data/benchmark_gen.h"
 #include "data/csv.h"
@@ -449,6 +450,107 @@ TEST_F(FaultInjectionTest, EncoderShapesAreCheckedOnLoad) {
   EncoderSection huge;
   huge.hash_dim = uint64_t{1} << 40;
   rejected(huge);
+  std::remove(path.c_str());
+}
+
+// ---------------------------------------------------------------------
+// CRC-valid files whose schema or matcher widths disagree
+// ---------------------------------------------------------------------
+
+/// A hand-built wym-config/v2 section: `config`'s fields and
+/// `num_attributes`, with no pairing rules.
+std::string ConfigPayload(const core::WymConfig& config,
+                          uint64_t num_attributes) {
+  std::ostringstream out;
+  serde::Serializer s(&out);
+  s.Tag("wym-config/v2");
+  s.Bool(config.tokenizer.lowercase);
+  s.Bool(config.tokenizer.remove_stopwords);
+  s.U64(config.tokenizer.min_token_length);
+  s.F64(config.generator.theta);
+  s.F64(config.generator.eta);
+  s.F64(config.generator.epsilon);
+  s.U64(static_cast<uint64_t>(config.generator.similarity));
+  s.U64(0);  // pairing rules
+  s.Bool(config.simplified_features);
+  s.Str(config.classifier);
+  s.U64(num_attributes);
+  return out.str();
+}
+
+/// A hand-built matcher/v1 section over the full feature set of
+/// `num_attributes` attributes, with an LR classifier. The scaler spans
+/// `scaler_width` features; every other vector spans the feature row.
+std::string MatcherPayload(uint64_t num_attributes, size_t scaler_width,
+                           bool scaler_fitted = true) {
+  const size_t dim = core::FeatureExtractor(num_attributes).dim();
+  std::ostringstream out;
+  serde::Serializer s(&out);
+  s.Tag("matcher/v1");
+  s.U64(num_attributes);
+  s.Bool(false);  // simplified
+  s.Bool(true);   // fitted
+  s.Tag("scaler/v1");
+  s.Bool(scaler_fitted);
+  s.VecF64(std::vector<double>(scaler_width, 0.0));
+  s.VecF64(std::vector<double>(scaler_width, 1.0));
+  s.Str("LR");
+  s.Tag("lr/v1");
+  s.VecF64(std::vector<double>(dim, 0.01));
+  s.F64(0.0);  // bias
+  s.F64(0.9);  // validation F1
+  s.F64(0.5);  // threshold
+  s.VecF64(std::vector<double>(dim, 0.01));
+  return out.str();
+}
+
+TEST_F(FaultInjectionTest, MatcherWidthsAreCheckedOnLoad) {
+  const core::WymConfig& config = suite_->model.config();
+  const size_t width = suite_->model.num_attributes();
+  const size_t dim = core::FeatureExtractor(width).dim();
+  const std::string path = suite_->path + ".matcher";
+  const auto load = [&](uint64_t config_width, const std::string& matcher) {
+    const std::string bytes =
+        WithSection(WithSection(suite_->clean_bytes, "config",
+                                ConfigPayload(config, config_width)),
+                    "matcher", matcher);
+    EXPECT_TRUE(io::WriteFileAtomic(path, bytes).ok());
+    // The checksums hold: only deserialization can catch the payload.
+    EXPECT_TRUE(core::WymModel::VerifyFile(path, nullptr).ok());
+    return core::WymModel::LoadFromFile(path);
+  };
+  const auto rejected = [&](uint64_t config_width, const std::string& matcher,
+                            const std::string& section) {
+    auto loaded = load(config_width, matcher);
+    ASSERT_FALSE(loaded.ok());
+    EXPECT_EQ(loaded.status().code(), Status::Code::kCorruption);
+    EXPECT_EQ(loaded.status().message(),
+              section == "config"
+                  ? "bad config section: " + path
+                  : "bad matcher state in section 'matcher': " + path);
+  };
+
+  // Consistent widths load and predict.
+  auto sound = load(width, MatcherPayload(width, dim));
+  ASSERT_TRUE(sound.ok()) << sound.status().ToString();
+  EXPECT_EQ(sound.value().PredictProbaBatch(suite_->split.test).size(),
+            suite_->split.test.size());
+
+  // A scaler one feature short: TransformRow would abort on the first
+  // prediction. An unfitted scaler would too.
+  rejected(width, MatcherPayload(width, dim - 1), "matcher");
+  rejected(width, MatcherPayload(width, dim, /*scaler_fitted=*/false),
+           "matcher");
+
+  // A matcher one attribute wider than the config: each consistent on
+  // its own, but the extractor would not fit the tokenized records.
+  rejected(width, MatcherPayload(width + 1,
+                                 core::FeatureExtractor(width + 1).dim()),
+           "matcher");
+
+  // A config width past the cap: the extractor and serve's pair
+  // normalization would size themselves by it.
+  rejected(uint64_t{1} << 40, MatcherPayload(width, dim), "config");
   std::remove(path.c_str());
 }
 
